@@ -2,7 +2,7 @@
 //! registry.
 //!
 //! ```text
-//! reproduce [--full] [--jobs N] [--shards N] [--json] [--list] [--trace FILE] [NAME ...| all]
+//! reproduce [--full] [--jobs N] [--json] [--list] [--trace FILE] [NAME ...| all]
 //! ```
 //!
 //! Every table/figure in `EXPERIMENTS.md` is runnable by name
@@ -13,12 +13,9 @@
 //! counts (five-nines-capable, minutes of runtime). `--jobs N` runs the
 //! independent sweep cells of each experiment on up to `N` workers —
 //! the output is byte-identical for every `N` (see
-//! `docs/DETERMINISM.md`). `--shards N` additionally partitions each
-//! experiment's cells round-robin into `N` serial groups before
-//! scheduling; like `--jobs`, the shard count cannot change a single
-//! output byte (see `docs/SHARDING.md`). `--json` prints the
-//! machine-readable report instead of the tables; it too is
-//! byte-identical across `--jobs`/`--shards` values and hosts.
+//! `docs/DETERMINISM.md`). `--json` prints the machine-readable report
+//! instead of the tables; it too is byte-identical across `--jobs`
+//! values and hosts.
 //!
 //! `--trace FILE` additionally writes a Chrome `trace_event` document
 //! (open in Perfetto / `chrome://tracing`) for the single named
@@ -32,12 +29,11 @@ use ull_study::registry::{default_entries, entries, find, json_document, Entry, 
 use ull_study::testbed::Scale;
 
 const USAGE: &str =
-    "usage: reproduce [--full] [--jobs N] [--shards N] [--json] [--list] [--trace FILE] [NAME ...| all]";
+    "usage: reproduce [--full] [--jobs N] [--json] [--list] [--trace FILE] [NAME ...| all]";
 
 struct Args {
     scale: Scale,
     jobs: usize,
-    shards: usize,
     json: bool,
     list: bool,
     trace: Option<String>,
@@ -48,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Quick,
         jobs: 1,
-        shards: 1,
         json: false,
         list: false,
         trace: None,
@@ -70,14 +65,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--jobs wants a positive integer, got {n:?}"))?;
-            }
-            "--shards" => {
-                let n = it.next().ok_or("--shards needs a value")?;
-                args.shards = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--shards wants a positive integer, got {n:?}"))?;
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with("--") => {
@@ -204,7 +191,7 @@ fn main() -> ExitCode {
 
     let sections: Vec<Section> = picked
         .iter()
-        .map(|e| e.run_sharded(args.scale, args.jobs, args.shards))
+        .map(|e| e.run(args.scale, args.jobs))
         .collect();
     let ok = sections.iter().all(Section::ok);
 

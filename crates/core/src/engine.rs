@@ -140,29 +140,12 @@ pub trait Experiment {
 /// wall-clock time only — the returned report is identical (see
 /// `docs/DETERMINISM.md`, "parallel cells, serial merge").
 pub fn run_experiment<E: Experiment>(exp: &E, scale: Scale, jobs: usize) -> E::Report {
-    run_experiment_sharded(exp, scale, jobs, 1)
-}
-
-/// Like [`run_experiment`], but first partitions the cells round-robin
-/// into `shards` serial groups (`ull_exec::run_sharded`) — the
-/// experiment-level plumbing behind `reproduce --shards N`.
-///
-/// Like `jobs`, the shard count changes scheduling only: results scatter
-/// back to declaration order before [`Experiment::collect`], so the
-/// report bytes are identical at every `(jobs, shards)` pair (see
-/// `docs/SHARDING.md`).
-pub fn run_experiment_sharded<E: Experiment>(
-    exp: &E,
-    scale: Scale,
-    jobs: usize,
-    shards: usize,
-) -> E::Report {
     let tasks: Vec<_> = exp
         .cells(scale)
         .into_iter()
         .map(SweepCell::into_task)
         .collect();
-    let outputs = ull_exec::run_sharded(jobs, shards, tasks);
+    let outputs = ull_exec::run_ordered(jobs, tasks);
     exp.collect(scale, outputs)
 }
 
@@ -232,17 +215,6 @@ mod tests {
             serial.into_json().to_string(),
             parallel.into_json().to_string()
         );
-    }
-
-    #[test]
-    fn sharded_reports_agree_with_serial() {
-        let serial = run_experiment(&Squares, Scale::Quick, 1);
-        for shards in [1, 2, 3, 4, 8] {
-            for jobs in [1, 2] {
-                let sharded = run_experiment_sharded(&Squares, Scale::Quick, jobs, shards);
-                assert_eq!(sharded.0, serial.0, "jobs={jobs} shards={shards}");
-            }
-        }
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod experiments;
 pub mod registry;
 pub mod testbed;
 
-pub use engine::{run_experiment, run_experiment_sharded, Experiment, Report, SweepCell};
+pub use engine::{run_experiment, Experiment, Report, SweepCell};
 pub use registry::{entries, find, json_document, Entry, Section};
 pub use testbed::{host, host_with, reduction_pct, Device, Scale};

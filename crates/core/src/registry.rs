@@ -1,15 +1,16 @@
 //! The experiment registry: every table/figure reproduction, runnable by
 //! name.
 //!
-//! `reproduce`, `ull-bench` and the integration tests all drive the same
-//! [`entries`] table, so "which figures exist and what are they called"
-//! is defined exactly once. Names follow `EXPERIMENTS.md` (`table1`,
-//! `fig4`, ..., `extensions`); figures that share a run are reachable
-//! through aliases (`fig10` → `fig9`, `fig8` → `fig7b`, ...).
+//! `reproduce`, the integration tests and the host-time benchmark
+//! (`perfbench/`) all drive the same [`entries`] table, so "which
+//! figures exist and what are they called" is defined exactly once.
+//! Names follow `EXPERIMENTS.md` (`table1`, `fig4`, ..., `extensions`);
+//! figures that share a run are reachable through aliases
+//! (`fig10` → `fig9`, `fig8` → `fig7b`, ...).
 
 use ull_workload::Json;
 
-use crate::engine::{run_experiment_sharded, Experiment, Report};
+use crate::engine::{run_experiment, Experiment, Report};
 use crate::experiments::{
     breakdown, completion, device_level, extensions, faults, nbd, rebuild, spdk, table1,
 };
@@ -74,21 +75,14 @@ pub struct Entry {
     /// Whether the experiment probes its hosts, i.e. supports
     /// `reproduce NAME --trace out.json`. Shown by `reproduce --list`.
     pub traceable: bool,
-    runner: fn(Scale, usize, usize) -> Section,
+    runner: fn(Scale, usize) -> Section,
     tracer: fn(Scale) -> Option<ull_probe::ProbeReport>,
 }
 
 impl Entry {
     /// Runs the experiment at `scale` on up to `jobs` workers.
     pub fn run(&self, scale: Scale, jobs: usize) -> Section {
-        (self.runner)(scale, jobs, 1)
-    }
-
-    /// Runs the experiment with its cells partitioned round-robin into
-    /// `shards` serial groups (`reproduce --shards N`). Like `jobs`, the
-    /// shard count cannot change the section's bytes.
-    pub fn run_sharded(&self, scale: Scale, jobs: usize, shards: usize) -> Section {
-        (self.runner)(scale, jobs, shards)
+        (self.runner)(scale, jobs)
     }
 
     /// A representative probed run for `--trace`, or `None` when the
@@ -113,8 +107,8 @@ impl core::fmt::Debug for Entry {
     }
 }
 
-fn section<E: Experiment>(exp: &E, scale: Scale, jobs: usize, shards: usize) -> Section {
-    let report = run_experiment_sharded(exp, scale, jobs, shards);
+fn section<E: Experiment>(exp: &E, scale: Scale, jobs: usize) -> Section {
+    let report = run_experiment(exp, scale, jobs);
     Section {
         name: exp.name(),
         title: exp.title(),
@@ -138,7 +132,7 @@ pub fn entries() -> &'static [Entry] {
                 aliases: $exp.aliases(),
                 in_all: $in_all,
                 traceable: $exp.traceable(),
-                runner: |scale, jobs, shards| section(&$exp, scale, jobs, shards),
+                runner: |scale, jobs| section(&$exp, scale, jobs),
                 tracer: |scale| $exp.trace(scale),
             }
         }};

@@ -22,9 +22,8 @@
 //!
 //! Two faces of the same discipline live here:
 //!
-//! - [`run_ordered`] / [`run_sharded`] — experiment-level: independent
-//!   sim cells distributed over workers (and, for `--shards N`,
-//!   partitioned round-robin into serial groups first), merged in
+//! - [`run_ordered`] — experiment-level: independent sim cells
+//!   distributed over workers (`reproduce --jobs N`), merged in
 //!   declaration order.
 //! - [`ParallelRunner`] — event-level: the multi-core
 //!   [`WindowRunner`](ull_simkit::WindowRunner) that drains the shards
@@ -139,61 +138,6 @@ where
         .collect()
 }
 
-/// A sensible default worker count: the machine's available parallelism,
-/// falling back to 1 when it cannot be determined.
-pub fn default_jobs() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs `tasks` partitioned round-robin into `shards` groups: each group
-/// executes its tasks serially in ascending declaration index, groups run
-/// concurrently on up to `jobs` workers via [`run_ordered`], and the
-/// results scatter back to declaration order.
-///
-/// This is the experiment-level face of `reproduce --shards N`: like
-/// `--jobs`, the shard count partitions *independent* cells, so the
-/// merged output is byte-identical for every `shards` value by the same
-/// "parallel cells, serial merge" argument (`docs/SHARDING.md` covers
-/// the event-level sharding inside one sim).
-///
-/// `shards <= 1` degenerates to [`run_ordered`] exactly.
-pub fn run_sharded<T, F>(jobs: usize, shards: usize, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    if shards <= 1 {
-        return run_ordered(jobs, tasks);
-    }
-    let n = tasks.len();
-    let groups = shards.min(n.max(1));
-    let mut buckets: Vec<Vec<(usize, F)>> = (0..groups).map(|_| Vec::new()).collect();
-    for (i, f) in tasks.into_iter().enumerate() {
-        buckets[i % groups].push((i, f));
-    }
-    let shard_tasks: Vec<_> = buckets
-        .into_iter()
-        .map(|bucket| {
-            move || {
-                bucket
-                    .into_iter()
-                    .map(|(i, f)| (i, f()))
-                    .collect::<Vec<(usize, T)>>()
-            }
-        })
-        .collect();
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for bucket in run_ordered(jobs, shard_tasks) {
-        for (i, t) in bucket {
-            slots[i] = Some(t);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task runs in exactly one shard"))
-        .collect()
-}
-
 /// The multi-core [`WindowRunner`]: each simulation window fans its
 /// shards out over up to `jobs` scoped threads and joins before the
 /// exchange barrier.
@@ -300,32 +244,6 @@ mod tests {
         let out = run_ordered(4, tasks);
         assert_eq!(out.len(), 40);
         assert_eq!(CALLS.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn sharded_matches_serial_for_every_shard_and_job_count() {
-        let expected: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(31) ^ 7).collect();
-        for shards in [1, 2, 3, 4, 8, 23, 64] {
-            for jobs in [1, 2, 4] {
-                let tasks: Vec<_> = (0..23u64).map(|i| move || i.wrapping_mul(31) ^ 7).collect();
-                assert_eq!(
-                    run_sharded(jobs, shards, tasks),
-                    expected,
-                    "shards={shards} jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_handles_empty_task_lists() {
-        let none: Vec<fn() -> u8> = Vec::new();
-        assert!(run_sharded(4, 4, none).is_empty());
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::wheel::TimingWheel;
 /// The id is the *logical shard* of the `(time, shard, seq)` merge key:
 /// it is assigned once when the world is built and never changes with
 /// the physical shard count, which is what keeps cross-actor event
-/// ordering — and therefore every report byte — identical at
-/// `--shards 1/2/4/8` (see `docs/SHARDING.md`).
+/// ordering — and therefore every report byte — identical at any shard
+/// count (see `docs/SHARDING.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 

@@ -1,10 +1,10 @@
 //! A tiny in-tree JSON document model and writer.
 //!
-//! The workspace is offline — no serde — yet the experiment engine, the
-//! `reproduce` CLI and `ull-bench` all need to emit machine-readable
-//! reports whose bytes are *deterministic*: the CI perf-trajectory
-//! baseline (`BENCH_quick.json`) and the `--jobs 1` vs `--jobs N`
-//! golden test both diff raw output. This module provides exactly what
+//! The workspace is offline — no serde — yet the experiment engine and
+//! the `reproduce` CLI both need to emit machine-readable reports whose
+//! bytes are *deterministic*: the CI perf-trajectory baseline
+//! (`BENCH_quick.json`) and the `--jobs 1` vs `--jobs N` golden test
+//! both diff raw output. This module provides exactly what
 //! those consumers need and nothing more:
 //!
 //! - an explicit [`Json`] tree (objects keep insertion order — no

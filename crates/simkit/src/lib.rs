@@ -71,7 +71,7 @@ pub use lookahead::Lookahead;
 pub use resource::{ServerPool, Slot, Timeline};
 pub use rng::SplitMix64;
 pub use series::TimeSeries;
-pub use shard::{Delivery, SerialRunner, ShardEvent, ShardedWorld, WindowRunner};
+pub use shard::{SerialRunner, ShardEvent, ShardedWorld, WindowRunner};
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

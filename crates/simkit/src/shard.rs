@@ -74,18 +74,6 @@ pub struct ShardEvent<E> {
     pub payload: E,
 }
 
-/// One cross-actor delivery, as observed by the receiving actor — the
-/// record the `(time, shard, seq)` total-order property test audits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Delivery {
-    /// Delivery instant.
-    pub at: SimTime,
-    /// Emitting actor.
-    pub src: ActorId,
-    /// Per-source emission sequence number.
-    pub seq: u64,
-}
-
 /// One actor resident on a shard, with the per-actor counters that
 /// make its keys placement-invariant.
 struct ActorSlot<C> {
@@ -95,8 +83,6 @@ struct ActorSlot<C> {
     local_seq: u64,
     /// Emission counter for cross-actor sends.
     send_seq: u64,
-    /// Cross-actor arrivals, in dispatch order.
-    log: Vec<Delivery>,
 }
 
 /// One physical shard: a wheel, its resident actors, and the outbox
@@ -199,28 +185,12 @@ impl<C: Component> Shard<C> {
                 let local = (dst.0 / n_shards) as usize;
                 let slot = &mut self.actors[local];
                 debug_assert_eq!(slot.id, dst, "round-robin placement out of sync");
-                if first.src != dst {
-                    slot.log.push(Delivery {
-                        at: t,
-                        src: first.src,
-                        seq: first.seq,
-                    });
-                }
                 payloads.push(first.payload);
                 if !stepped {
-                    // Extend the run: arrivals are logged here in the
-                    // same order per-event dispatch would log them.
-                    while events.peek().is_some_and(|e| e.dst == dst) {
-                        if let Some(ev) = events.next() {
-                            if ev.src != dst {
-                                slot.log.push(Delivery {
-                                    at: t,
-                                    src: ev.src,
-                                    seq: ev.seq,
-                                });
-                            }
-                            payloads.push(ev.payload);
-                        }
+                    // Extend the run to every consecutive event for the
+                    // same destination.
+                    while let Some(ev) = events.next_if(|e| e.dst == dst) {
+                        payloads.push(ev.payload);
                     }
                 }
                 let mut sink = ShardSink {
@@ -374,7 +344,6 @@ impl<C: Component> ShardedWorld<C> {
                 component,
                 local_seq: 0,
                 send_seq: 0,
-                log: Vec::new(),
             });
         }
         world
@@ -482,16 +451,6 @@ impl<C: Component> ShardedWorld<C> {
         self.exchange_scratch = scratch;
     }
 
-    /// Every actor's cross-actor arrival log, in [`ActorId`] order —
-    /// each log ascends in `(time, src, seq)` whatever the shard count
-    /// (audited by `tests/sharding.rs`).
-    pub fn delivery_logs(&self) -> Vec<Vec<Delivery>> {
-        let n_shards = self.shards.len();
-        (0..self.n_actors)
-            .map(|a| self.shards[a % n_shards].actors[a / n_shards].log.clone())
-            .collect()
-    }
-
     /// Consumes the world, returning the actors in [`ActorId`] order —
     /// the deterministic output merge.
     pub fn into_actors(self) -> Vec<C> {
@@ -519,21 +478,65 @@ impl<C: Component> core::fmt::Debug for ShardedWorld<C> {
 mod tests {
     use super::*;
 
-    /// Records every arrival and fans messages onward.
+    /// One relayed value, tagged with its sender's id and cross-actor
+    /// send count — the `(src, seq)` half of the merge key.
+    #[derive(Debug, Clone, Copy)]
+    struct Hop {
+        src: ActorId,
+        seq: u64,
+        v: u64,
+    }
+
+    /// A cross-actor arrival as its receiver saw it: `(at, src, seq)`.
+    type Arrival = (SimTime, ActorId, u64);
+
+    /// Records every dispatch and every cross-actor arrival, and fans
+    /// messages onward.
     struct Relay {
         peers: Vec<ActorId>,
         got: Vec<(u64, u32, u64)>,
+        arrivals: Vec<Arrival>,
+        sent: u64,
         sends_left: u64,
     }
 
+    impl Relay {
+        fn new(peers: Vec<ActorId>, sends_left: u64) -> Self {
+            Relay {
+                peers,
+                got: Vec::new(),
+                arrivals: Vec::new(),
+                sent: 0,
+                sends_left,
+            }
+        }
+
+        /// Sends `v` to `dst`, counting cross-actor sends the way the
+        /// world counts them: a self-send is a local event and takes no
+        /// sequence number.
+        fn send(&mut self, sched: &mut Scheduler<'_, Hop>, dst: ActorId, at: SimTime, v: u64) {
+            let src = sched.me();
+            let seq = self.sent;
+            if dst != src {
+                self.sent += 1;
+            }
+            sched.send(dst, at, Hop { src, seq, v });
+        }
+    }
+
     impl Component for Relay {
-        type Event = u64;
-        fn on_event(&mut self, now: SimTime, v: u64, sched: &mut Scheduler<'_, u64>) {
-            self.got.push((now.as_nanos(), sched.me().0, v));
+        type Event = Hop;
+        fn on_event(&mut self, now: SimTime, hop: Hop, sched: &mut Scheduler<'_, Hop>) {
+            let me = sched.me();
+            self.got.push((now.as_nanos(), me.0, hop.v));
+            if hop.src != me {
+                self.arrivals.push((now, hop.src, hop.seq));
+            }
             if self.sends_left > 0 {
                 self.sends_left -= 1;
-                for &p in &self.peers {
-                    sched.send(p, now, v + 1);
+                for i in 0..self.peers.len() {
+                    let p = self.peers[i];
+                    self.send(sched, p, now, hop.v + 1);
                 }
             }
         }
@@ -541,11 +544,7 @@ mod tests {
 
     fn ring_world(n_actors: u32, shards: usize, sends: u64) -> ShardedWorld<Relay> {
         let actors = (0..n_actors)
-            .map(|i| Relay {
-                peers: vec![ActorId((i + 1) % n_actors)],
-                got: Vec::new(),
-                sends_left: sends,
-            })
+            .map(|i| Relay::new(vec![ActorId((i + 1) % n_actors)], sends))
             .collect();
         ShardedWorld::new(
             shards,
@@ -554,41 +553,40 @@ mod tests {
         )
     }
 
-    /// Per-actor received `(payload, src, seq)` triples.
-    type RingHistory = Vec<Vec<(u64, u32, u64)>>;
+    /// Per actor: every dispatched `(now, me, v)`, and every cross-actor
+    /// arrival.
+    type RingHistory = Vec<(Vec<(u64, u32, u64)>, Vec<Arrival>)>;
 
-    fn run_ring(n_actors: u32, shards: usize) -> (RingHistory, Vec<Vec<Delivery>>) {
-        let mut w = ring_world(n_actors, shards, 5);
+    fn run_ring_world(mut w: ShardedWorld<Relay>) -> RingHistory {
         w.seed(ActorId(0), |r, sched| {
             let p = r.peers[0];
-            sched.send(p, SimTime::ZERO, 0);
+            r.send(sched, p, SimTime::ZERO, 0);
         });
         w.run();
-        let logs = w.delivery_logs();
-        (w.into_actors().into_iter().map(|r| r.got).collect(), logs)
+        w.into_actors()
+            .into_iter()
+            .map(|r| (r.got, r.arrivals))
+            .collect()
     }
 
     #[test]
     fn ring_is_identical_at_every_shard_count() {
-        let reference = run_ring(5, 1);
+        let reference = run_ring_world(ring_world(5, 1, 5));
         for shards in [2, 3, 5, 8] {
-            assert_eq!(run_ring(5, shards), reference, "shards={shards}");
+            assert_eq!(
+                run_ring_world(ring_world(5, shards, 5)),
+                reference,
+                "shards={shards}"
+            );
         }
     }
 
     #[test]
     fn stepped_dispatch_matches_batched_dispatch() {
-        let reference = run_ring(5, 2);
+        let reference = run_ring_world(ring_world(5, 2, 5));
         let mut w = ring_world(5, 2, 5);
         w.set_stepped_dispatch(true);
-        w.seed(ActorId(0), |r, sched| {
-            let p = r.peers[0];
-            sched.send(p, SimTime::ZERO, 0);
-        });
-        w.run();
-        let logs = w.delivery_logs();
-        let got: RingHistory = w.into_actors().into_iter().map(|r| r.got).collect();
-        assert_eq!((got, logs), reference);
+        assert_eq!(run_ring_world(w), reference);
     }
 
     #[test]
@@ -602,14 +600,14 @@ mod tests {
     #[test]
     fn sends_are_floored_by_lookahead() {
         let mut w = ring_world(2, 2, 1);
-        w.seed(ActorId(0), |_, sched| {
+        w.seed(ActorId(0), |r, sched| {
             // Asked for t=0 delivery; the floor pushes it to L.
-            sched.send(ActorId(1), SimTime::ZERO, 7);
+            r.send(sched, ActorId(1), SimTime::ZERO, 7);
         });
         w.run();
-        let logs = w.delivery_logs();
-        assert_eq!(logs[1].len(), 2, "seeded send plus one reply hop");
-        assert_eq!(logs[1][0].at, SimTime::ZERO + SimDuration::from_micros(3));
+        let arrivals = &w.into_actors()[1].arrivals;
+        assert_eq!(arrivals.len(), 2, "seeded send plus one reply hop");
+        assert_eq!(arrivals[0].0, SimTime::ZERO + SimDuration::from_micros(3));
     }
 
     #[test]
@@ -618,20 +616,18 @@ mod tests {
         // seeded send also lands at L. The arrival must win at every
         // shard count (remote keys sort below the local namespace).
         let run = |shards: usize| {
-            let mk = |peers: Vec<ActorId>| Relay {
-                peers,
-                got: Vec::new(),
-                sends_left: 0,
-            };
             let mut w = ShardedWorld::new(
                 shards,
                 Lookahead::from_floor(SimDuration::from_micros(3)),
-                vec![mk(vec![ActorId(1)]), mk(Vec::new())],
+                vec![Relay::new(vec![ActorId(1)], 0), Relay::new(Vec::new(), 0)],
             );
             let l = SimTime::ZERO + SimDuration::from_micros(3);
-            w.seed(ActorId(1), move |_, sched| sched.at(l, 999));
-            w.seed(ActorId(0), |_, sched| {
-                sched.send(ActorId(1), SimTime::ZERO, 7)
+            // A self-send is a local event.
+            w.seed(ActorId(1), move |r, sched| {
+                r.send(sched, ActorId(1), l, 999)
+            });
+            w.seed(ActorId(0), |r, sched| {
+                r.send(sched, ActorId(1), SimTime::ZERO, 7)
             });
             w.run();
             w.into_actors().pop().map(|r| r.got)

@@ -216,7 +216,8 @@ mod tests {
     #[test]
     fn scope_gates_rules_by_crate() {
         let wall = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
-        // bench is the measurement harness: wall-clock allowed there.
+        // A crate outside SIM_CRATES (a measurement harness, say) may
+        // read the wall clock.
         assert!(check_source("bench", "crates/bench/src/lib.rs", wall).is_empty());
         assert_eq!(
             check_source("stack", "crates/stack/src/x.rs", wall).len(),

@@ -13,8 +13,7 @@ use crate::source::{token_positions, DirectiveKind, SourceFile};
 use crate::symbols::{AdtKind, FileSymbols};
 
 /// Crates whose `src/` trees are simulation code: everything that feeds
-/// simulated time, ordering or randomness. `bench` is deliberately absent —
-/// it is the wall-clock *measurement* harness. `simlint` is absent from the
+/// simulated time, ordering or randomness. `simlint` is absent from the
 /// purity scopes but still walked for S000/S003. `exec` is
 /// simulation-adjacent: it must stay free of wall clocks, ambient RNG and
 /// float time (S001, S002, S004, S007), but it is the one sanctioned

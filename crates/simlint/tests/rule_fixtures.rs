@@ -169,8 +169,8 @@ fn s005_passes_single_threaded_event_loop() {
 
 #[test]
 fn s005_does_not_apply_to_the_bench_harness() {
-    // bench is the wall-clock measurement harness: threads and Instant are
-    // its job, so neither S001 nor S005 applies there.
+    // A crate outside SIM_CRATES (a wall-clock measurement harness, say)
+    // may use threads and Instant: neither S001 nor S005 applies there.
     let harness = "use std::sync::Mutex;\n\
                    pub fn t0() -> std::time::Instant { std::time::Instant::now() }\n";
     assert!(check_source("bench", "crates/bench/src/lib.rs", harness).is_empty());

@@ -9,10 +9,6 @@
 //! through timestamped cross-actor events, yet every per-node report is
 //! byte-identical at any shard count because the gossip link has a
 //! latency floor that becomes the world's lookahead (`docs/SHARDING.md`).
-//!
-//! This is also the perf harness's scaling workload: `bench`'s shard
-//! curve runs one fleet at `--shards {1,2,4}` and reports aggregate
-//! events/s.
 
 use ull_nvme::NvmeController;
 use ull_simkit::{
@@ -137,12 +133,6 @@ impl FleetNode {
             stats_received: self.stats_received,
             checksum: self.checksum,
         }
-    }
-
-    /// Total simulated events this node processed (completions plus
-    /// gossip) — the numerator of the perf harness's events/s.
-    pub fn events_processed(&self) -> u64 {
-        self.completed + self.stats_received
     }
 }
 

@@ -103,7 +103,7 @@ impl JobReport {
 
     /// Machine-readable summary of the report (the fields fio's JSON
     /// output would carry, in µs), used by the experiment engine's
-    /// `--json` mode and by `ull-bench`.
+    /// `--json` mode and by the host-time benchmark (`perfbench/`).
     ///
     /// The rendering is deterministic: members are emitted in a fixed
     /// order and every number is a pure function of the sim state, so

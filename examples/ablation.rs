@@ -1,13 +1,16 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out: the
-//! mechanisms the paper credits for ULL behaviour are switched off one at
-//! a time and the affected metric is reported.
+//! Design-choice ablations (DESIGN.md §5): the mechanisms the paper
+//! credits for ULL behaviour are switched off one at a time on the
+//! Z-SSD-like preset, and the metric each one defends is printed with
+//! and without it.
+//!
+//! ```sh
+//! cargo run --release --example ablation
+//! ```
 
-use std::hint::black_box;
-
-use ull_nvme::NvmeController;
-use ull_ssd::{presets, GcPolicy, Ssd, SsdConfig};
-use ull_stack::{Host, IoPath, SoftwareCosts};
-use ull_workload::{precondition_full, run_job, Engine, JobSpec, Pattern};
+use ull_ssd_study::nvme::NvmeController;
+use ull_ssd_study::prelude::*;
+use ull_ssd_study::ssd::GcPolicy;
+use ull_ssd_study::stack::SoftwareCosts;
 
 fn host_for(cfg: SsdConfig, path: IoPath) -> Host {
     let ctrl = NvmeController::new(Ssd::new(cfg).expect("valid ablation config"), 1, 1024);
@@ -62,7 +65,7 @@ fn hybrid_latency(sleep_fraction: f64) -> f64 {
     .as_micros_f64()
 }
 
-fn print_ablation_table() {
+fn main() {
     let base = presets::ull_800g();
 
     println!("\n===== ablation: ULL design mechanisms =====");
@@ -93,7 +96,8 @@ fn print_ablation_table() {
     let without = gc_write_latency(serial_gc);
     println!("parallel GC             : gc-write {with:.1}us -> {without:.1}us without");
 
-    let big = gc_write_latency(base.clone());
+    // Runs are deterministic, so `with` is also the 4096-unit buffer's
+    // latency.
     let small = gc_write_latency(
         base.clone()
             .builder()
@@ -101,7 +105,7 @@ fn print_ablation_table() {
             .build()
             .unwrap(),
     );
-    println!("write buffer 4096->64   : gc-write {big:.1}us -> {small:.1}us");
+    println!("write buffer 4096->64   : gc-write {with:.1}us -> {small:.1}us");
 
     let tight_op = base.clone().builder().overprovision(0.10).build().unwrap();
     let op_lat = gc_write_latency(tight_op);
@@ -113,27 +117,4 @@ fn print_ablation_table() {
         hybrid_latency(0.5),
         hybrid_latency(0.75)
     );
-}
-
-fn main() {
-    print_ablation_table();
-    let mut g = ull_bench::BenchGroup::new("ablation");
-    g.sample_size(10);
-    g.bench_function("ull_baseline_rnd_read", |b| {
-        b.iter(|| black_box(read_latency(presets::ull_800g())))
-    });
-    g.bench_function("ull_no_suspend_mixed", |b| {
-        b.iter(|| {
-            let cfg = presets::ull_800g()
-                .builder()
-                .suspend_resume(false)
-                .build()
-                .unwrap();
-            black_box(mixed_read_latency(cfg))
-        })
-    });
-    g.bench_function("hybrid_sleep_quarter", |b| {
-        b.iter(|| black_box(hybrid_latency(0.25)))
-    });
-    g.finish();
 }

@@ -7,22 +7,39 @@
 //! with seeded *random* worlds (random fan-out, random delays, random
 //! lookahead floors) and with the real gossip-coupled fleet workload.
 
+use ull_exec::ParallelRunner;
 use ull_simkit::{
-    ActorId, Component, Delivery, Lookahead, Scheduler, SerialRunner, ShardedWorld, SimDuration,
-    SimTime, SplitMix64,
+    ActorId, Component, Lookahead, Scheduler, SerialRunner, ShardedWorld, SimDuration, SimTime,
+    SplitMix64,
 };
 use ull_workload::run_fleet;
+
+/// A gossip message: a random value, tagged with its sender's id and
+/// cross-actor send count — the `(src, seq)` half of the world's merge
+/// key.
+#[derive(Debug, Clone, Copy)]
+struct Rumor {
+    src: ActorId,
+    seq: u64,
+    value: u64,
+}
+
+/// A cross-actor arrival as its receiver saw it: `(at, src, seq)`.
+type Arrival = (SimTime, ActorId, u64);
 
 /// A randomized actor: every received event triggers a seeded burst of
 /// sends to random destinations at random future offsets. Behavior is a
 /// pure function of the actor's own seed and its received-event
 /// sequence, so any divergence between shard counts is the runtime's
-/// fault, not the workload's.
+/// fault, not the workload's. Each gossiper also logs its cross-actor
+/// arrivals, for the merge-order audit.
 struct Gossiper {
     rng: SplitMix64,
     n_actors: u64,
     budget: u32,
     digest: u64,
+    sent: u64,
+    arrivals: Vec<Arrival>,
 }
 
 impl Gossiper {
@@ -32,10 +49,13 @@ impl Gossiper {
             n_actors,
             budget,
             digest: 0,
+            sent: 0,
+            arrivals: Vec::new(),
         }
     }
 
-    fn burst(&mut self, now: SimTime, sched: &mut Scheduler<'_, u64>) {
+    fn burst(&mut self, now: SimTime, sched: &mut Scheduler<'_, Rumor>) {
+        let src = sched.me();
         let fanout = 1 + self.rng.below(3);
         for _ in 0..fanout {
             if self.budget == 0 {
@@ -44,31 +64,43 @@ impl Gossiper {
             self.budget -= 1;
             let dst = ActorId(self.rng.below(self.n_actors) as u32);
             let delay = SimDuration::from_nanos(self.rng.below(50_000));
-            let payload = self.rng.next_u64() >> 32;
-            sched.send(dst, now + delay, payload);
+            let value = self.rng.next_u64() >> 32;
+            // A self-send is a local event: the world gives it no
+            // sequence number, so neither does the tag.
+            let seq = self.sent;
+            if dst != src {
+                self.sent += 1;
+            }
+            sched.send(dst, now + delay, Rumor { src, seq, value });
         }
     }
 }
 
 impl Component for Gossiper {
-    type Event = u64;
+    type Event = Rumor;
 
-    fn on_event(&mut self, now: SimTime, ev: u64, sched: &mut Scheduler<'_, u64>) {
+    fn on_event(&mut self, now: SimTime, ev: Rumor, sched: &mut Scheduler<'_, Rumor>) {
         // Order-sensitive digest: two runs that deliver the same events
         // in a different order disagree here.
-        self.digest = self.digest.wrapping_mul(0x100_0000_01B3).wrapping_add(ev);
+        self.digest = self
+            .digest
+            .wrapping_mul(0x100_0000_01B3)
+            .wrapping_add(ev.value);
+        if ev.src != sched.me() {
+            self.arrivals.push((now, ev.src, ev.seq));
+        }
         self.burst(now, sched);
     }
 }
 
 /// Runs one seeded random world and returns its observable history: the
-/// per-actor digests and the per-actor cross-shard delivery logs.
+/// per-actor digests and the per-actor cross-actor arrival logs.
 fn run_random_world(
     trial: u64,
     n_actors: u64,
     shards: usize,
     floor: SimDuration,
-) -> (Vec<u64>, Vec<Vec<Delivery>>) {
+) -> (Vec<u64>, Vec<Vec<Arrival>>) {
     let actors: Vec<Gossiper> = (0..n_actors)
         .map(|i| Gossiper::new(trial.wrapping_mul(0x9E37_79B9) ^ i, n_actors, 60))
         .collect();
@@ -77,9 +109,11 @@ fn run_random_world(
         world.seed(ActorId(i as u32), |g, sched| g.burst(SimTime::ZERO, sched));
     }
     world.run();
-    let logs = world.delivery_logs();
-    let digests = world.into_actors().iter().map(|g| g.digest).collect();
-    (digests, logs)
+    world
+        .into_actors()
+        .into_iter()
+        .map(|g| (g.digest, g.arrivals))
+        .unzip()
 }
 
 /// Seeded property: for random worlds under random lookahead floors,
@@ -114,10 +148,8 @@ fn delivery_logs_respect_the_merge_order() {
         let (_, logs) = run_random_world(trial, 5, 3, SimDuration::from_nanos(777));
         for (actor, log) in logs.iter().enumerate() {
             for pair in log.windows(2) {
-                let a = (pair[0].at, pair[0].src, pair[0].seq);
-                let b = (pair[1].at, pair[1].src, pair[1].seq);
                 assert!(
-                    a < b,
+                    pair[0] < pair[1],
                     "actor {actor}: deliveries out of (time, shard, seq) order: {pair:?}"
                 );
             }
@@ -126,7 +158,8 @@ fn delivery_logs_respect_the_merge_order() {
 }
 
 /// The real fleet workload (hosts + gossip) is byte-identical at every
-/// shard count — the workspace-level face of the simkit guarantee.
+/// shard count, with windows drained serially or on worker threads —
+/// the workspace-level face of the simkit guarantee.
 #[test]
 fn fleet_workload_is_shard_count_invariant() {
     let serial = run_fleet(5, 300, 4, 1, &mut SerialRunner);
@@ -135,6 +168,11 @@ fn fleet_workload_is_shard_count_invariant() {
             run_fleet(5, 300, 4, shards, &mut SerialRunner),
             serial,
             "fleet diverged at shards={shards}"
+        );
+        assert_eq!(
+            run_fleet(5, 300, 4, shards, &mut ParallelRunner { jobs: 2 }),
+            serial,
+            "fleet diverged at shards={shards} under ParallelRunner"
         );
     }
 }
