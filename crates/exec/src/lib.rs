@@ -26,7 +26,7 @@
 //!   distributed over workers (`reproduce --jobs N`), merged in
 //!   declaration order.
 //! - [`ParallelRunner`] — event-level: the multi-core
-//!   [`WindowRunner`](ull_simkit::WindowRunner) that drains the shards
+//!   [`WindowRunner`] that drains the shards
 //!   of one `ull_simkit::ShardedWorld` window concurrently (see
 //!   `docs/SHARDING.md`).
 //!

@@ -11,8 +11,6 @@
 //! acknowledgment returns, never *what* the replica contains, which is
 //! what makes the scan-head race rules in `docs/NEXUS.md` airtight.
 
-use std::collections::BTreeMap;
-
 use ull_faults::FaultPlan;
 use ull_nvme::NvmeController;
 use ull_simkit::{ActorId, Component, Scheduler, SimDuration, SimTime};
@@ -34,14 +32,6 @@ pub fn chain(digest: u64, val: u64) -> u64 {
 /// replica) before the child acknowledges a [`CmdKind::Reformat`].
 const FORMAT_DELAY: SimDuration = SimDuration::from_micros(20);
 
-/// A command in flight on the child's own device.
-#[derive(Debug, Clone, Copy)]
-struct PendingCmd {
-    epoch: u32,
-    rebuild_overlap: SimDuration,
-    digest: u64,
-}
-
 /// One child replica actor.
 #[derive(Debug)]
 pub struct NexusChild {
@@ -50,7 +40,6 @@ pub struct NexusChild {
     host: Host,
     port: AsyncPort,
     digests: Vec<u64>,
-    pending: BTreeMap<u64, PendingCmd>,
     /// Latest completion instant of any rebuild copy I/O on this child;
     /// client service overlapping it is charged to `rebuild_wait`.
     copy_busy_until: SimTime,
@@ -85,7 +74,6 @@ impl NexusChild {
             host,
             port: AsyncPort::with_capacity(64),
             digests: vec![0; total_ranges as usize],
-            pending: BTreeMap::new(),
             copy_busy_until: SimTime::ZERO,
             last_fault_events: 0,
         }
@@ -162,15 +150,16 @@ impl NexusChild {
         } else {
             done.min(self.copy_busy_until).saturating_since(now)
         };
-        self.pending.insert(
-            cmd.seq,
-            PendingCmd {
+        sched.at(
+            done,
+            NexusEvent::DevDone {
+                slot,
+                seq: cmd.seq,
                 epoch: cmd.epoch,
                 rebuild_overlap,
                 digest,
             },
         );
-        sched.at(done, NexusEvent::DevDone { slot, seq: cmd.seq });
     }
 
     fn range_of(&self, offset: u64) -> usize {
@@ -191,11 +180,14 @@ impl Component for NexusChild {
     fn on_event(&mut self, now: SimTime, ev: NexusEvent, sched: &mut Scheduler<'_, NexusEvent>) {
         match ev {
             NexusEvent::Cmd(cmd) => self.on_cmd(now, cmd, sched),
-            NexusEvent::DevDone { slot, seq } => {
+            NexusEvent::DevDone {
+                slot,
+                seq,
+                epoch,
+                rebuild_overlap,
+                digest,
+            } => {
                 let Some((_op, _r)) = self.port.finish(&mut self.host, slot) else {
-                    return;
-                };
-                let Some(p) = self.pending.remove(&seq) else {
                     return;
                 };
                 let total = self.fault_events_total();
@@ -206,11 +198,11 @@ impl Component for NexusChild {
                     ChildDoneEvent {
                         seq,
                         child: self.index,
-                        epoch: p.epoch,
+                        epoch,
                         done_at: now,
-                        rebuild_overlap: p.rebuild_overlap,
+                        rebuild_overlap,
                         fault_delta,
-                        digest: p.digest,
+                        digest,
                     },
                     sched,
                 );

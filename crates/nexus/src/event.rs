@@ -89,12 +89,20 @@ pub enum NexusEvent {
     /// Frontend → child command.
     Cmd(ChildCmdEvent),
     /// Child-local: the child's own device finished the I/O parked in
-    /// `slot` for command `seq`.
+    /// `slot` for command `seq`. Carries everything the acknowledgment
+    /// echoes, so the child keeps no per-command table.
     DevDone {
         /// The child port slot.
         slot: SlotId,
         /// The command it belongs to.
         seq: u64,
+        /// The command's epoch stamp.
+        epoch: u32,
+        /// Service overlapping rebuild copy traffic (see
+        /// [`ChildDoneEvent::rebuild_overlap`]).
+        rebuild_overlap: SimDuration,
+        /// For `CopyRead` commands: the digest snapshotted at arrival.
+        digest: u64,
     },
     /// Child → frontend completion report.
     Done(ChildDoneEvent),

@@ -51,12 +51,14 @@ const COPY_TURNAROUND: SimDuration = SimDuration::from_nanos(500);
 const REPLACE_DELAY: SimDuration = SimDuration::from_micros(50);
 /// Departure latency of every rebuild-path command (reformat, copy read,
 /// copy write). Exactly a degraded client write's routing cost, and that
-/// equality is load-bearing: with one uniform frontend→child latency for
-/// every command in flight during a rebuild, frontend state-machine
-/// order equals arrival order at every child. A cheaper copy path would
-/// let a CopyRead overtake a just-dispatched, not-yet-forwarded client
-/// write on the wire and snapshot a survivor without it — silently
-/// losing the write from the rebuilt replica.
+/// equality is load-bearing: a rebuild-path command and a client leg
+/// routed at the same instant reach every child in sequence order. A
+/// cheaper copy path would let a CopyRead overtake a just-dispatched,
+/// not-yet-forwarded client write on the wire and snapshot a survivor
+/// without it — silently losing the write from the rebuilt replica.
+/// The equality does not cover the client write `complete_op` issues:
+/// it departs `COMPLETE_COST` later than a copy read decided at the
+/// same instant, an open defect (docs/NEXUS.md, "The exception").
 const COPY_DISPATCH_COST: SimDuration =
     SimDuration::from_nanos(FRONTEND_COST.as_nanos() + DEGRADED_COST.as_nanos());
 /// Copy-engine queue depth of an *unthrottled* rebuild. Any duty-cycle
@@ -353,7 +355,10 @@ impl NexusFrontend {
             );
             remaining = 1;
         } else {
-            for c in self.serving() {
+            for c in 0..self.children.len() as u32 {
+                if self.children[c as usize].state != ChildState::Serving {
+                    continue;
+                }
                 self.send_cmd(
                     c,
                     routed + CHILD_LINK,

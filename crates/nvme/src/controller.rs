@@ -468,12 +468,12 @@ impl NvmeController {
 
     /// Earliest instant at which a pending completion becomes visible on
     /// this queue (before MSI latency).
-    pub fn next_completion_at(&self, qid: u16) -> Option<SimTime> {
-        self.qpairs[qid as usize].pending.earliest()
+    pub fn next_completion_at(&mut self, qid: u16) -> Option<SimTime> {
+        self.qpairs[qid as usize].pending.peek_time()
     }
 
     /// Earliest instant the host IRQ for this queue would fire.
-    pub fn next_interrupt_at(&self, qid: u16) -> Option<SimTime> {
+    pub fn next_interrupt_at(&mut self, qid: u16) -> Option<SimTime> {
         self.next_completion_at(qid).map(|t| t + self.msi_latency)
     }
 

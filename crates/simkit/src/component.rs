@@ -352,10 +352,10 @@ impl<E> Engine<E> {
         self.wheel.pop()
     }
 
-    /// The earliest pending firing time, without advancing the wheel
-    /// (`&self`; O(slots) scan).
-    pub fn earliest(&self) -> Option<SimTime> {
-        self.wheel.earliest()
+    /// The earliest pending firing time (see
+    /// [`TimingWheel::peek_time`]).
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
@@ -424,7 +424,7 @@ mod tests {
         e.run_until(SimTime::from_nanos(10), &mut c);
         assert_eq!(c.seen, vec![(5, 1)]);
         assert_eq!(e.len(), 1);
-        assert_eq!(e.earliest(), Some(SimTime::from_nanos(50)));
+        assert_eq!(e.peek_time(), Some(SimTime::from_nanos(50)));
     }
 
     #[test]

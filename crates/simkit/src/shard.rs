@@ -420,7 +420,16 @@ impl<C: Component> ShardedWorld<C> {
         let n_shards = self.shards.len() as u32;
         let stepped = self.stepped;
         loop {
-            let horizon = self.shards.iter().filter_map(|s| s.wheel.earliest()).min();
+            // `peek_time` settles each wheel's cursor onto its earliest
+            // event and sorts that slot: the same work the window's
+            // first `pop_same_instant_until` would do, so reading the
+            // horizon this way costs amortized O(1) and leaves pop order
+            // untouched.
+            let horizon = self
+                .shards
+                .iter_mut()
+                .filter_map(|s| s.wheel.peek_time())
+                .min();
             let Some(t) = horizon else { break };
             let bound = t + floor;
             runner.run(&mut self.shards, |_, shard| {

@@ -369,24 +369,6 @@ impl<E> TimingWheel<E> {
         Some(SimTime::from_nanos(t))
     }
 
-    /// The earliest pending firing time without advancing the wheel.
-    ///
-    /// Cold-path companion to [`peek_time`](Self::peek_time) for
-    /// callers holding only `&self`; scans the near slots (O(`SLOTS`))
-    /// instead of moving the cursor.
-    pub fn earliest(&self) -> Option<SimTime> {
-        if let Some(e) = self.past.peek() {
-            return Some(SimTime::from_nanos(e.at));
-        }
-        let near = self.slots.iter().flat_map(|s| s.iter().map(|e| e.at)).min();
-        let far = self.far.peek().map(|e| e.at);
-        match (near, far) {
-            (Some(n), Some(f)) => Some(SimTime::from_nanos(n.min(f))),
-            (Some(n), None) => Some(SimTime::from_nanos(n)),
-            (None, f) => f.map(SimTime::from_nanos),
-        }
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -458,12 +440,10 @@ mod tests {
         w.schedule(SimTime::from_nanos(3), ());
         w.schedule(SimTime::from_nanos(1), ());
         assert_eq!(w.peek_time(), Some(SimTime::from_nanos(1)));
-        assert_eq!(w.earliest(), Some(SimTime::from_nanos(1)));
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
         w.pop();
         assert_eq!(w.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(w.earliest(), Some(SimTime::from_nanos(3)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! hazards machine-checkable:
 //!
 //! The analyzer runs in two phases. Phase 1 is lexical and per-file:
-//! [`source`] strips comments/literals, [`lexer`] tokenizes, and
+//! `source` strips comments/literals, [`lexer`] tokenizes, and
 //! [`symbols`] parses item signatures (type aliases, struct fields, fn
 //! signatures, `use` renames) — all dependency-free, no `syn`. Phase 2
 //! ([`resolve`]) joins every file's symbols into a per-crate

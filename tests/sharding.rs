@@ -28,14 +28,15 @@ struct Rumor {
 type Arrival = (SimTime, ActorId, u64);
 
 /// A randomized actor: every received event triggers a seeded burst of
-/// sends to random destinations at random future offsets. Behavior is a
-/// pure function of the actor's own seed and its received-event
-/// sequence, so any divergence between shard counts is the runtime's
-/// fault, not the workload's. Each gossiper also logs its cross-actor
-/// arrivals, for the merge-order audit.
+/// sends to random destinations at random future offsets below
+/// `max_delay_ns`. Behavior is a pure function of the actor's own seed
+/// and its received-event sequence, so any divergence between shard
+/// counts is the runtime's fault, not the workload's. Each gossiper also
+/// logs its cross-actor arrivals, for the merge-order audit.
 struct Gossiper {
     rng: SplitMix64,
     n_actors: u64,
+    max_delay_ns: u64,
     budget: u32,
     digest: u64,
     sent: u64,
@@ -43,10 +44,11 @@ struct Gossiper {
 }
 
 impl Gossiper {
-    fn new(seed: u64, n_actors: u64, budget: u32) -> Self {
+    fn new(seed: u64, n_actors: u64, max_delay_ns: u64, budget: u32) -> Self {
         Gossiper {
             rng: SplitMix64::new(seed),
             n_actors,
+            max_delay_ns,
             budget,
             digest: 0,
             sent: 0,
@@ -63,7 +65,7 @@ impl Gossiper {
             }
             self.budget -= 1;
             let dst = ActorId(self.rng.below(self.n_actors) as u32);
-            let delay = SimDuration::from_nanos(self.rng.below(50_000));
+            let delay = SimDuration::from_nanos(self.rng.below(self.max_delay_ns));
             let value = self.rng.next_u64() >> 32;
             // A self-send is a local event: the world gives it no
             // sequence number, so neither does the tag.
@@ -98,11 +100,13 @@ impl Component for Gossiper {
 fn run_random_world(
     trial: u64,
     n_actors: u64,
+    max_delay_ns: u64,
     shards: usize,
     floor: SimDuration,
 ) -> (Vec<u64>, Vec<Vec<Arrival>>) {
+    let seed = trial.wrapping_mul(0x9E37_79B9);
     let actors: Vec<Gossiper> = (0..n_actors)
-        .map(|i| Gossiper::new(trial.wrapping_mul(0x9E37_79B9) ^ i, n_actors, 60))
+        .map(|i| Gossiper::new(seed ^ i, n_actors, max_delay_ns, 60))
         .collect();
     let mut world = ShardedWorld::new(shards, Lookahead::from_floor(floor), actors);
     for i in 0..n_actors {
@@ -118,19 +122,28 @@ fn run_random_world(
 
 /// Seeded property: for random worlds under random lookahead floors,
 /// every shard count replays the exact same per-actor event history.
+///
+/// The first twelve trials keep every send inside the timing wheel's
+/// ~4.2 ms near horizon (4,096 slots of 1,024 ns). The last four send
+/// up to 12.6 ms ahead under floors of up to 8.4 ms, so the shard
+/// wheels promote events out of their far heaps and, at two or more
+/// shards, empty their near slots and re-base onto the far heap between
+/// windows — the paths the window loop's horizon read takes there.
 #[test]
 fn random_worlds_are_shard_count_invariant() {
     let mut seeds = SplitMix64::new(0x5AAD_ED01);
-    for trial in 0..12u64 {
+    let near = (0..12u64).map(|trial| (trial, 50_000, 20_000));
+    let far = (12..16u64).map(|trial| (trial, 12_600_000, 8_400_000));
+    for (trial, max_delay_ns, max_floor_ns) in near.chain(far) {
         let n_actors = 2 + seeds.below(7);
-        let floor = SimDuration::from_nanos(1 + seeds.below(20_000));
-        let serial = run_random_world(trial, n_actors, 1, floor);
+        let floor = SimDuration::from_nanos(1 + seeds.below(max_floor_ns));
+        let serial = run_random_world(trial, n_actors, max_delay_ns, 1, floor);
         assert!(
             serial.1.iter().any(|log| !log.is_empty()),
             "trial {trial}: the world must exchange cross-actor events"
         );
         for shards in [2usize, 3, 4, 8] {
-            let sharded = run_random_world(trial, n_actors, shards, floor);
+            let sharded = run_random_world(trial, n_actors, max_delay_ns, shards, floor);
             assert_eq!(
                 sharded, serial,
                 "trial {trial} (actors={n_actors}, floor={floor:?}) diverged at shards={shards}"
@@ -145,7 +158,7 @@ fn random_worlds_are_shard_count_invariant() {
 #[test]
 fn delivery_logs_respect_the_merge_order() {
     for trial in 0..6u64 {
-        let (_, logs) = run_random_world(trial, 5, 3, SimDuration::from_nanos(777));
+        let (_, logs) = run_random_world(trial, 5, 50_000, 3, SimDuration::from_nanos(777));
         for (actor, log) in logs.iter().enumerate() {
             for pair in log.windows(2) {
                 assert!(
