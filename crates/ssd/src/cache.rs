@@ -8,9 +8,10 @@
 //! which is exactly the fig. 5 write-bandwidth ceiling and the fig. 7b GC
 //! latency cliff.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use ull_simkit::{SimDuration, SimTime, SplitMix64, TimingWheel};
+use ull_simkit::{SimDuration, SimTime, SplitMix64};
 
 use crate::config::ReadCachePolicy;
 
@@ -33,11 +34,15 @@ use crate::config::ReadCachePolicy;
 #[derive(Debug)]
 pub struct WriteBuffer {
     capacity: usize,
-    /// Pending slot releases ordered by program-end instant. Entries at
-    /// equal instants are interchangeable (the payload *is* the time),
-    /// so swapping the historical `BinaryHeap<Reverse<u64>>` for the
-    /// timing wheel cannot change any admit decision.
-    releases: TimingWheel<()>,
+    /// Pending slot releases: program-end instants in ns, earliest on
+    /// top. The instant is the whole entry, so equal entries are
+    /// interchangeable and no tie order can change an admit decision.
+    /// Not a `TimingWheel`: a full buffer's thousands of releases span
+    /// more simulated time than the wheel's ~4.2 ms horizon, so nearly
+    /// every one would detour through its far heap, paying a heap push,
+    /// a promotion and a slot push and pop where this pays one push and
+    /// one pop.
+    releases: BinaryHeap<Reverse<u64>>,
     /// lpn -> time at which the buffered copy stops being addressable
     /// (program end); reads before that are DRAM hits. A `BTreeMap` so the
     /// periodic `sweep` retains entries in a deterministic order (S003).
@@ -55,7 +60,7 @@ impl WriteBuffer {
         assert!(capacity > 0, "write buffer needs at least one slot");
         WriteBuffer {
             capacity: capacity as usize,
-            releases: TimingWheel::new(),
+            releases: BinaryHeap::new(),
             resident: BTreeMap::new(),
             admitted: 0,
         }
@@ -70,8 +75,8 @@ impl WriteBuffer {
         // admitting immediately there is a safe, panic-free fallback.
         let admitted_at = if self.releases.len() < self.capacity {
             at
-        } else if let Some((earliest, ())) = self.releases.pop() {
-            at.max(earliest)
+        } else if let Some(Reverse(earliest)) = self.releases.pop() {
+            at.max(SimTime::from_nanos(earliest))
         } else {
             at
         };
@@ -85,7 +90,7 @@ impl WriteBuffer {
     /// Records that the unit's flash program completes at `program_end`,
     /// freeing the slot then.
     pub fn retire(&mut self, lpn: u64, program_end: SimTime) {
-        self.releases.schedule(program_end, ());
+        self.releases.push(Reverse(program_end.as_nanos()));
         self.resident.insert(lpn, program_end.as_nanos());
     }
 
@@ -225,6 +230,27 @@ mod tests {
             b.admit(SimTime::from_micros(5), 3),
             SimTime::from_micros(300)
         );
+
+        // Releases retired out of order and spread over more than 4.2 ms,
+        // a timing wheel's near horizon.
+        let ms = |n: u64| SimTime::from_micros(n * 1_000);
+        let mut b = WriteBuffer::new(3);
+        for (lpn, end) in [(0, 20), (1, 5), (2, 12)] {
+            b.admit(SimTime::ZERO, lpn);
+            b.retire(lpn, ms(end));
+        }
+        assert_eq!(b.admit(SimTime::ZERO, 3), ms(5));
+        b.retire(3, ms(9));
+        assert_eq!(b.admit(SimTime::ZERO, 4), ms(9));
+        b.retire(4, ms(30));
+        assert_eq!(b.admit(SimTime::ZERO, 5), ms(12));
+        b.retire(5, ms(40));
+        // An arrival after the earliest release is admitted on arrival.
+        assert_eq!(b.admit(ms(25), 6), ms(25));
+        b.retire(6, ms(26));
+        assert_eq!(b.admit(SimTime::ZERO, 7), ms(26));
+        b.retire(7, ms(50));
+        assert_eq!(b.admit(SimTime::ZERO, 8), ms(30));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 use ull_flash::FlashSpec;
 use ull_simkit::SimDuration;
 
-use crate::ftl::WearConfig;
+use crate::ftl::{address_bits, WearConfig, MAX_ADDRESS_BITS};
+use crate::topology::Topology;
 
 /// Host-visible mapping granularity: both devices map at 4 KB internally
 /// (the Intel 750's indirection unit, and one split-DMA pair of 2 KB Z-NAND
@@ -196,13 +197,33 @@ impl SsdConfig {
         }
     }
 
+    /// The FTL geometry this configuration implies, as `(lanes,
+    /// blocks_per_lane, units_per_block)`.
+    pub(crate) fn ftl_geometry(&self) -> (u64, u64, u64) {
+        // Lanes pair up only when the split-DMA engine actually stripes
+        // units across the pair; super-channels without split-DMA degrade
+        // to independent per-die lanes (the ablation case).
+        let lanes = Topology::new(self.channels, self.ways, self.splits_across_pair()).lanes();
+        let units_per_block =
+            u64::from(self.effective_pages_per_block()) * u64::from(self.units_per_row());
+        // Physical space = logical * (1 + OP). The GC watermark lives inside
+        // the OP margin (as on real devices); a floor keeps degenerate tiny
+        // configurations functional.
+        let needed = (self.logical_units() as f64 * (1.0 + self.overprovision)).ceil() as u64;
+        let blocks_per_lane = needed
+            .div_ceil(u64::from(lanes) * units_per_block)
+            .max(u64::from(self.gc.low_watermark) + 4);
+        (u64::from(lanes), blocks_per_lane, units_per_block)
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
     /// found (odd channel count with super-channels, suspend/resume on flash
-    /// that cannot suspend, zero capacity, ...).
+    /// that cannot suspend, zero capacity, a geometry too large for the
+    /// FTL's 31-bit physical addresses, ...).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channels == 0 || self.ways == 0 {
             return Err(ConfigError::new("channels and ways must be non-zero"));
@@ -236,6 +257,15 @@ impl SsdConfig {
         }
         if self.write_buffer_units == 0 {
             return Err(ConfigError::new("write buffer must hold at least one unit"));
+        }
+        if self.effective_pages_per_block() == 0 {
+            return Err(ConfigError::new("pages per block must be non-zero"));
+        }
+        let (lanes, blocks_per_lane, units_per_block) = self.ftl_geometry();
+        if address_bits(lanes, blocks_per_lane, units_per_block) > MAX_ADDRESS_BITS {
+            return Err(ConfigError::new(
+                "capacity needs more than 31 bits of (lane, block, slot) FTL address",
+            ));
         }
         Ok(())
     }
@@ -357,7 +387,7 @@ impl SsdConfigBuilder {
 
 #[cfg(test)]
 mod tests {
-    use crate::presets;
+    use crate::{presets, Ssd};
 
     #[test]
     fn presets_validate() {
@@ -398,6 +428,25 @@ mod tests {
         let mut c = presets::nvme750();
         c.suspend_resume = true;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_geometry_beyond_31_address_bits() {
+        // The paper's full 800 GB device packs into 29 bits...
+        let full = presets::ull_800g()
+            .builder()
+            .capacity_bytes(800_000_000_000);
+        assert!(full.build().is_ok());
+        // ...16 TiB would need 33: an error, before any table is allocated.
+        let huge = presets::ull_800g().builder().capacity_bytes(16 << 40);
+        assert!(huge.build().is_err());
+        let mut cfg = presets::ull_800g();
+        cfg.capacity_bytes = 16 << 40;
+        assert!(Ssd::new(cfg).is_err());
+        // A zero-unit block has no geometry at all.
+        let mut cfg = presets::nvme750();
+        cfg.pages_per_block_override = Some(0);
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

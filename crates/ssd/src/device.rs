@@ -145,22 +145,19 @@ impl Ssd {
     pub fn new(cfg: SsdConfig) -> Result<Self, crate::config::ConfigError> {
         cfg.validate()?;
         let spec: Arc<FlashSpec> = Arc::new(cfg.flash.clone());
-        // Lanes pair up only when the split-DMA engine actually stripes
-        // units across the pair; super-channels without split-DMA degrade
-        // to independent per-die lanes (the ablation case).
         let topo = Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair());
         let lanes = topo.lanes();
-        let units_per_block = cfg.effective_pages_per_block() * cfg.units_per_row();
-        let logical = cfg.logical_units();
-        // Physical space = logical * (1 + OP). The GC watermark lives inside
-        // the OP margin (as on real devices); a floor keeps degenerate tiny
-        // configurations functional.
-        let needed = (logical as f64 * (1.0 + cfg.overprovision)).ceil() as u64;
-        let blocks_per_lane = (needed.div_ceil(lanes as u64 * units_per_block as u64) as u32)
-            .max(cfg.gc.low_watermark + 4);
+        // `validate` bounded the packed FTL address at 31 bits, so every
+        // dimension fits a `u32`.
+        let (_, blocks_per_lane, units_per_block) = cfg.ftl_geometry();
         let blocks_per_virtual = if cfg.splits_across_pair() { 2 } else { 1 };
-        let ftl = Ftl::new(lanes, blocks_per_lane, units_per_block, cfg.gc)
-            .with_wear(cfg.wear, blocks_per_virtual);
+        let ftl = Ftl::new(
+            lanes,
+            blocks_per_lane as u32,
+            units_per_block as u32,
+            cfg.gc,
+        )
+        .with_wear(cfg.wear, blocks_per_virtual);
         let rng = SplitMix64::new(cfg.seed);
         let rcache = ReadCache::new(cfg.read_cache, cfg.seed ^ 0xCACE);
         let row_units = cfg.units_per_row() * cfg.planes;
@@ -665,20 +662,20 @@ impl Ssd {
         // A stale partial row is flushed padded before the new unit joins.
         if let Some(first) = row.units.first() {
             if unit.ready.saturating_since(first.ready) > timeout {
-                let stale = std::mem::take(&mut row.units);
-                self.flush_row(lane, stale);
+                self.flush_row(lane);
             }
         }
         let row = &mut self.rows[lane.0 as usize];
         row.units.push(unit);
         if row.units.len() as u32 >= self.row_units {
-            let full = std::mem::take(&mut row.units);
-            self.flush_row(lane, full);
+            self.flush_row(lane);
         }
     }
 
-    /// Programs one row (possibly padded) on the lane's die(s).
-    fn flush_row(&mut self, lane: LaneId, units: Vec<PendingUnit>) {
+    /// Programs the lane's open row (possibly padded) on its die(s),
+    /// emptying the row in place so its buffer is reused, not reallocated.
+    fn flush_row(&mut self, lane: LaneId) {
+        let units = &self.rows[lane.0 as usize].units;
         if units.is_empty() {
             return;
         }
@@ -699,7 +696,7 @@ impl Ssd {
             self.energy.add(prog.start, program_energy);
             program_end = program_end.max(prog.end);
         }
-        for u in units {
+        for u in self.rows[lane.0 as usize].units.drain(..) {
             self.wbuf.retire(u.lpn, program_end);
         }
     }
@@ -739,11 +736,9 @@ impl Ssd {
     /// Flushes all partially filled program rows (e.g. at the end of a
     /// preconditioning pass), returning when the last program lands.
     pub fn flush(&mut self, at: SimTime) -> SimTime {
-        let lanes: Vec<u32> = (0..self.rows.len() as u32).collect();
         let mut end = at;
-        for l in lanes {
-            let pending = std::mem::take(&mut self.rows[l as usize].units);
-            self.flush_row(LaneId(l), pending);
+        for l in 0..self.rows.len() as u32 {
+            self.flush_row(LaneId(l));
             let (a, b) = self.topo.lane_dies(LaneId(l));
             for die_id in [Some(a), b].into_iter().flatten() {
                 end = end.max(self.dies[die_id.0 as usize].busy_until());

@@ -100,8 +100,6 @@ pub struct ProgramFailRecovery {
 #[derive(Debug)]
 struct Lane {
     blocks: Vec<BlockState>,
-    /// Reverse map: for each block, the lpn stored in each slot.
-    p2l: Vec<Vec<u64>>,
     free: Vec<u32>,
     /// Append point for host writes.
     open: u32,
@@ -130,9 +128,6 @@ impl Lane {
         Lane {
             blocks: (0..blocks)
                 .map(|_| BlockState::new(units_per_block))
-                .collect(),
-            p2l: (0..blocks)
-                .map(|_| vec![u64::MAX; units_per_block as usize])
                 .collect(),
             free,
             open: 0,
@@ -189,6 +184,31 @@ impl Lane {
     }
 }
 
+/// Address bits the packed `(lane, block, slot)` fields may share: map
+/// entries store `value + 1` in a `u32`, so 0 can mean "unmapped".
+pub(crate) const MAX_ADDRESS_BITS: u32 = 31;
+
+/// Bits needed to number `n` distinct values (0 when `n <= 1`).
+fn bits_for(n: u64) -> u32 {
+    u64::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// Bits a packed `(lane, block, slot)` address needs for this geometry.
+pub(crate) fn address_bits(lanes: u64, blocks_per_lane: u64, units_per_block: u64) -> u32 {
+    bits_for(lanes) + bits_for(blocks_per_lane) + bits_for(units_per_block)
+}
+
+/// A map of `n` unmapped (0) entries, every one written here. A zeroed
+/// allocation (`vec![0; n]`) would let the allocator hand back untouched
+/// zero pages from a fresh mapping or clear recycled heap memory, so how
+/// much of the map is resident would depend on what the process
+/// allocated before; written out, the whole map is resident from the
+/// start. The fill value is opaque to the optimizer, which would
+/// otherwise turn a fill known to be zero back into a zeroed allocation.
+fn unmapped_table(n: usize) -> Vec<u32> {
+    std::iter::repeat_n(std::hint::black_box(0), n).collect()
+}
+
 /// The translation layer.
 ///
 /// # Examples
@@ -204,9 +224,20 @@ impl Lane {
 /// ```
 #[derive(Debug)]
 pub struct Ftl {
-    l2p: Vec<Option<Ppa>>,
+    /// lpn -> packed `lane | block | slot` address + 1; 0 is unmapped.
+    /// Sized to the physical space; the device narrows use to the
+    /// logical space.
+    l2p: Vec<u32>,
+    /// Reverse map, one entry per physical unit in `(lane, block, slot)`
+    /// order: the lpn stored there + 1; 0 is free or invalid.
+    p2l: Vec<u32>,
     lanes: Vec<Lane>,
+    blocks_per_lane: u32,
     units_per_block: u32,
+    /// Width of the packed address's slot field.
+    slot_bits: u32,
+    /// Width of the packed address's block field.
+    block_bits: u32,
     next_lane: u32,
     gc: GcPolicy,
     total_migrated: u64,
@@ -229,19 +260,30 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or `blocks_per_lane < 4`.
+    /// Panics if any dimension is zero, `blocks_per_lane < 4`, or a packed
+    /// `(lane, block, slot)` address would need more than 31 bits
+    /// ([`crate::Ssd::new`] reports that as a [`crate::ConfigError`]).
     pub fn new(lanes: u32, blocks_per_lane: u32, units_per_block: u32, gc: GcPolicy) -> Self {
         assert!(
             lanes > 0 && units_per_block > 0,
             "FTL dimensions must be non-zero"
         );
-        let physical_units = lanes as u64 * blocks_per_lane as u64 * units_per_block as u64;
+        assert!(
+            address_bits(lanes.into(), blocks_per_lane.into(), units_per_block.into())
+                <= MAX_ADDRESS_BITS,
+            "FTL geometry needs more than {MAX_ADDRESS_BITS} address bits"
+        );
+        let physical_units = lanes as usize * blocks_per_lane as usize * units_per_block as usize;
         Ftl {
-            l2p: vec![None; physical_units as usize], // sized generously; device narrows use
+            l2p: unmapped_table(physical_units),
+            p2l: unmapped_table(physical_units),
             lanes: (0..lanes)
                 .map(|_| Lane::new(blocks_per_lane, units_per_block))
                 .collect(),
+            blocks_per_lane,
             units_per_block,
+            slot_bits: bits_for(units_per_block.into()),
+            block_bits: bits_for(blocks_per_lane.into()),
             next_lane: 0,
             gc,
             total_migrated: 0,
@@ -262,9 +304,8 @@ impl Ftl {
     /// number of physical blocks one FTL block spans (2 for super-channel
     /// pairs — the capacity a bad block strands when remapping is off).
     pub fn with_wear(mut self, wear: WearConfig, blocks_per_virtual: u32) -> Self {
-        let blocks = self.lanes[0].blocks.len() as u32;
         self.remap = (0..self.lanes.len())
-            .map(|_| RemapChecker::new(blocks, wear.spares_per_lane))
+            .map(|_| RemapChecker::new(self.blocks_per_lane, wear.spares_per_lane))
             .collect();
         self.wear_rng = SplitMix64::new(wear.seed ^ 0xBAD_B10C);
         self.wear = wear;
@@ -284,12 +325,41 @@ impl Ftl {
 
     /// Physical capacity in 4 KB units.
     pub fn physical_units(&self) -> u64 {
-        self.lanes.len() as u64 * self.lanes[0].blocks.len() as u64 * self.units_per_block as u64
+        self.p2l.len() as u64
     }
 
     /// Looks up the physical address of a logical unit.
     pub fn lookup(&self, lpn: u64) -> Option<Ppa> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        let packed = self.l2p.get(lpn as usize)?.checked_sub(1)?;
+        let lane_shift = self.slot_bits + self.block_bits;
+        Some(Ppa {
+            lane: LaneId(packed >> lane_shift),
+            block: (packed >> self.slot_bits) & ((1 << self.block_bits) - 1),
+            slot: packed & ((1 << self.slot_bits) - 1),
+        })
+    }
+
+    /// Index of `block`'s first slot in `p2l`.
+    fn block_base(&self, lane: LaneId, block: u32) -> usize {
+        (lane.0 as usize * self.blocks_per_lane as usize + block as usize)
+            * self.units_per_block as usize
+    }
+
+    /// The lpn stored at `ppa`, or `u64::MAX` if the slot holds no live
+    /// data.
+    fn stored_lpn(&self, ppa: Ppa) -> u64 {
+        u64::from(self.p2l[self.block_base(ppa.lane, ppa.block) + ppa.slot as usize])
+            .wrapping_sub(1)
+    }
+
+    /// Points `lpn` at `ppa` in both maps.
+    fn map(&mut self, lpn: u64, ppa: Ppa) {
+        let lane_shift = self.slot_bits + self.block_bits;
+        self.l2p[lpn as usize] =
+            ((ppa.lane.0 << lane_shift) | (ppa.block << self.slot_bits) | ppa.slot) + 1;
+        // The l2p store bounds `lpn` by the physical space, so it fits.
+        let i = self.block_base(ppa.lane, ppa.block) + ppa.slot as usize;
+        self.p2l[i] = lpn as u32 + 1;
     }
 
     /// Total units migrated by GC so far.
@@ -381,7 +451,7 @@ impl Ftl {
             let _ = moved;
         }
         // Invalidate the old copy on overwrite.
-        if let Some(old) = self.l2p.get(lpn as usize).copied().flatten() {
+        if let Some(old) = self.lookup(lpn) {
             self.invalidate(old);
         }
         let mut forced_migrations = 0;
@@ -389,7 +459,7 @@ impl Ftl {
         let ppa = loop {
             // Host appends keep one free block in reserve so GC relocation
             // always has somewhere to land (classic GC-reserve invariant).
-            match self.try_place_with_reserve(lane, lpn, 1) {
+            match self.try_place_with_reserve(lane, 1) {
                 Some(ppa) => break ppa,
                 None => {
                     // Open block full and no free block: force the victim out.
@@ -408,7 +478,7 @@ impl Ftl {
                 }
             }
         };
-        self.l2p[lpn as usize] = Some(ppa);
+        self.map(lpn, ppa);
         (
             Placement {
                 ppa,
@@ -419,10 +489,9 @@ impl Ftl {
         )
     }
 
-    fn try_place_with_reserve(&mut self, lane_id: LaneId, lpn: u64, reserve: usize) -> Option<Ppa> {
+    fn try_place_with_reserve(&mut self, lane_id: LaneId, reserve: usize) -> Option<Ppa> {
         let lane = &mut self.lanes[lane_id.0 as usize];
         if let Some(slot) = lane.blocks[lane.open as usize].append() {
-            lane.p2l[lane.open as usize][slot as usize] = lpn;
             return Some(Ppa {
                 lane: lane_id,
                 block: lane.open,
@@ -438,7 +507,6 @@ impl Ftl {
         // A block from the free list is erased, so append cannot fail; `?`
         // keeps the path panic-free regardless.
         let slot = lane.blocks[next as usize].append()?;
-        lane.p2l[next as usize][slot as usize] = lpn;
         Some(Ppa {
             lane: lane_id,
             block: next,
@@ -449,10 +517,9 @@ impl Ftl {
     /// Places a GC relocation into the lane's dedicated GC destination
     /// block. The victim capacity guard in `pick_victim` guarantees this
     /// never fails for a victim whose drain has started.
-    fn place_gc(&mut self, lane_id: LaneId, lpn: u64) -> Ppa {
+    fn place_gc(&mut self, lane_id: LaneId) -> Ppa {
         let lane = &mut self.lanes[lane_id.0 as usize];
         if let Some(slot) = lane.blocks[lane.gc_open as usize].append() {
-            lane.p2l[lane.gc_open as usize][slot as usize] = lpn;
             return Ppa {
                 lane: lane_id,
                 block: lane.gc_open,
@@ -469,7 +536,6 @@ impl Ftl {
             .append()
             // simlint: allow(S006): `next` was just popped from the free list, i.e. erased, and an erased block always accepts an append
             .expect("free block accepts appends");
-        lane.p2l[next as usize][slot as usize] = lpn;
         Ppa {
             lane: lane_id,
             block: next,
@@ -505,7 +571,7 @@ impl Ftl {
         // never landed, so drop the failed copy before retrying.
         self.lanes[lane_id.0 as usize].blocks[block as usize].note_program_fail();
         self.invalidate(ppa);
-        self.l2p[lpn as usize] = None;
+        self.l2p[lpn as usize] = 0;
 
         let can_touch = {
             let lane = &self.lanes[lane_id.0 as usize];
@@ -538,34 +604,24 @@ impl Ftl {
         if retire {
             // Relocate every surviving unit, then erase and retire.
             loop {
-                let found = {
-                    let lane = &self.lanes[lane_id.0 as usize];
-                    let b = &lane.blocks[block as usize];
-                    (0..self.units_per_block)
-                        .find(|&s| b.is_valid(s))
-                        .map(|s| (s, lane.p2l[block as usize][s as usize]))
-                };
-                let Some((slot, moved_lpn)) = found else {
+                let b = &self.lanes[lane_id.0 as usize].blocks[block as usize];
+                let Some(slot) = (0..self.units_per_block).find(|&s| b.is_valid(s)) else {
                     break;
                 };
+                let at = Ppa {
+                    lane: lane_id,
+                    block,
+                    slot,
+                };
+                let moved_lpn = self.stored_lpn(at);
                 debug_assert_ne!(moved_lpn, u64::MAX, "valid slot must map back");
-                {
-                    let lane = &mut self.lanes[lane_id.0 as usize];
-                    lane.blocks[block as usize].invalidate(slot);
-                    lane.p2l[block as usize][slot as usize] = u64::MAX;
-                }
-                let new = self.place_gc(lane_id, moved_lpn);
-                self.l2p[moved_lpn as usize] = Some(new);
+                self.invalidate(at);
+                let new = self.place_gc(lane_id);
+                self.map(moved_lpn, new);
                 out.relocated_units += 1;
                 self.total_migrated += 1;
             }
-            {
-                let lane = &mut self.lanes[lane_id.0 as usize];
-                lane.blocks[block as usize].erase();
-                lane.p2l[block as usize]
-                    .iter_mut()
-                    .for_each(|l| *l = u64::MAX);
-            }
+            self.erase(lane_id, block);
             out.erased_blocks += 1;
             self.total_erased += 1;
             let checker = &mut self.remap[lane_id.0 as usize];
@@ -593,9 +649,16 @@ impl Ftl {
     }
 
     fn invalidate(&mut self, ppa: Ppa) {
-        let lane = &mut self.lanes[ppa.lane.0 as usize];
-        lane.blocks[ppa.block as usize].invalidate(ppa.slot);
-        lane.p2l[ppa.block as usize][ppa.slot as usize] = u64::MAX;
+        self.lanes[ppa.lane.0 as usize].blocks[ppa.block as usize].invalidate(ppa.slot);
+        let i = self.block_base(ppa.lane, ppa.block) + ppa.slot as usize;
+        self.p2l[i] = 0;
+    }
+
+    /// Erases a block and clears its reverse map.
+    fn erase(&mut self, lane: LaneId, block: u32) {
+        self.lanes[lane.0 as usize].blocks[block as usize].erase();
+        let base = self.block_base(lane, block);
+        self.p2l[base..base + self.units_per_block as usize].fill(0);
     }
 
     /// Migrates up to `budget` valid units out of the lane's victim,
@@ -623,10 +686,15 @@ impl Ftl {
                     }
                     c += 1;
                 }
-                (
-                    found.map(|s| (s, lane.p2l[victim_block as usize][s as usize])),
-                    found.is_none(),
-                )
+                let next = found.map(|slot| {
+                    let at = Ppa {
+                        lane: lane_id,
+                        block: victim_block,
+                        slot,
+                    };
+                    (at, self.stored_lpn(at))
+                });
+                (next, found.is_none())
             };
             if exhausted {
                 // Victim fully drained: erase it. If the victim *is* an
@@ -636,11 +704,8 @@ impl Ftl {
                 // block.
                 let worn = self.wear.per_erase_prob > 0.0
                     && self.wear_rng.chance(self.wear.per_erase_prob);
+                self.erase(lane_id, victim_block);
                 let lane = &mut self.lanes[lane_id.0 as usize];
-                lane.blocks[victim_block as usize].erase();
-                lane.p2l[victim_block as usize]
-                    .iter_mut()
-                    .for_each(|l| *l = u64::MAX);
                 let is_append_point = victim_block == lane.open || victim_block == lane.gc_open;
                 let mut usable = true;
                 if worn {
@@ -674,20 +739,16 @@ impl Ftl {
             }
             // `exhausted` was handled above, so next_valid is Some; break
             // is the safe (unreachable) fallback rather than a panic.
-            let Some((slot, lpn)) = next_valid else { break };
+            let Some((at, lpn)) = next_valid else { break };
             debug_assert_ne!(lpn, u64::MAX, "valid slot must have a reverse mapping");
             // Invalidate the old copy and advance the cursor...
-            {
-                let lane = &mut self.lanes[lane_id.0 as usize];
-                lane.blocks[victim_block as usize].invalidate(slot);
-                lane.p2l[victim_block as usize][slot as usize] = u64::MAX;
-                if let Some(v) = lane.victim.as_mut() {
-                    v.cursor = slot + 1;
-                }
+            self.invalidate(at);
+            if let Some(v) = self.lanes[lane_id.0 as usize].victim.as_mut() {
+                v.cursor = at.slot + 1;
             }
             // ...then re-place the unit into the GC destination block.
-            let ppa = self.place_gc(lane_id, lpn);
-            self.l2p[lpn as usize] = Some(ppa);
+            let ppa = self.place_gc(lane_id);
+            self.map(lpn, ppa);
             moved += 1;
             work.migrated_units += 1;
             self.total_migrated += 1;
@@ -762,16 +823,58 @@ mod tests {
 
     #[test]
     fn l2p_and_p2l_stay_inverse() {
-        let mut f = Ftl::new(2, 6, 4, gc());
-        for i in 0..200u64 {
-            f.append(i % 20);
-        }
-        for lpn in 0..20u64 {
-            if let Some(ppa) = f.lookup(lpn) {
-                let lane = &f.lanes[ppa.lane.0 as usize];
-                assert_eq!(lane.p2l[ppa.block as usize][ppa.slot as usize], lpn);
-                assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
+        let wear = WearConfig {
+            per_erase_prob: 0.0,
+            remap_enabled: true,
+            spares_per_lane: 256,
+            seed: 5,
+        };
+        // (lanes, blocks per lane, units per block, logical units, program
+        // failure every n appends): power-of-two-ish; no dimension a power
+        // of two; one lane of one-unit blocks, so the packed lane and slot
+        // fields are zero bits wide.
+        for (lanes, blocks, units, logical, fail_every) in [
+            (2, 6, 4, 20u64, None),
+            (3, 7, 5, 40, Some(7u64)),
+            (1, 12, 1, 5, Some(3)),
+        ] {
+            let mut f = Ftl::new(lanes, blocks, units, gc()).with_wear(wear, 1);
+            let mut retired = 0;
+            for i in 0..400u64 {
+                let lpn = (i * 7 + i / 9) % logical;
+                let (p, _) = f.append(lpn);
+                if fail_every.is_some_and(|n| i % n == n - 1) {
+                    let rec = f.recover_program_fail(p.ppa, lpn);
+                    assert_eq!(f.lookup(lpn), Some(rec.new_ppa));
+                    retired += u32::from(rec.remapped);
+                }
             }
+            for lpn in 0..logical {
+                let ppa = f.lookup(lpn).expect("every written lpn is mapped");
+                assert!(ppa.lane.0 < lanes && ppa.block < blocks && ppa.slot < units);
+                assert_eq!(f.stored_lpn(ppa), lpn);
+                assert!(f.lanes[ppa.lane.0 as usize].blocks[ppa.block as usize].is_valid(ppa.slot));
+            }
+            // The other direction: every live reverse entry maps back.
+            let mut live = 0;
+            for (i, &entry) in f.p2l.iter().enumerate() {
+                if entry == 0 {
+                    continue;
+                }
+                let ppa = Ppa {
+                    lane: LaneId(i as u32 / (blocks * units)),
+                    block: i as u32 / units % blocks,
+                    slot: i as u32 % units,
+                };
+                assert_eq!(f.lookup(u64::from(entry) - 1), Some(ppa));
+                live += 1;
+            }
+            assert_eq!(live, logical);
+            assert_eq!(
+                retired > 0,
+                fail_every.is_some(),
+                "recovery never retired a block"
+            );
         }
     }
 
@@ -869,7 +972,7 @@ mod tests {
             assert!(seen.insert(ppa), "duplicate mapping at {lpn}");
             let lane = &f.lanes[ppa.lane.0 as usize];
             assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
-            assert_eq!(lane.p2l[ppa.block as usize][ppa.slot as usize], lpn);
+            assert_eq!(f.stored_lpn(ppa), lpn);
         }
     }
 
