@@ -20,16 +20,6 @@
 //! `docs/DETERMINISM.md` ("parallel cells, serial merge") for the
 //! argument in full.
 //!
-//! Two faces of the same discipline live here:
-//!
-//! - [`run_ordered`] — experiment-level: independent sim cells
-//!   distributed over workers (`reproduce --jobs N`), merged in
-//!   declaration order.
-//! - [`ParallelRunner`] — event-level: the multi-core
-//!   [`WindowRunner`] that drains the shards
-//!   of one `ull_simkit::ShardedWorld` window concurrently (see
-//!   `docs/SHARDING.md`).
-//!
 //! This is the one crate in the workspace allowed to touch threads:
 //! simlint's S005 rule carves out `ull-exec` precisely because it is
 //! *not* part of the event loop — nothing here ever consults or
@@ -44,8 +34,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-use ull_simkit::WindowRunner;
 
 /// One entry of the slot table: a pending task, a task checked out by a
 /// worker, or a finished result.
@@ -138,46 +126,6 @@ where
         .collect()
 }
 
-/// The multi-core [`WindowRunner`]: each simulation window fans its
-/// shards out over up to `jobs` scoped threads and joins before the
-/// exchange barrier.
-///
-/// Shard state is disjoint (`&mut` handed to exactly one worker) and the
-/// window protocol makes drain order immaterial, so this changes
-/// wall-clock time only — `ull_simkit::SerialRunner` produces the same
-/// bytes. `jobs <= 1` takes the serial path with no thread machinery.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelRunner {
-    /// Maximum worker threads per window.
-    pub jobs: usize,
-}
-
-impl WindowRunner for ParallelRunner {
-    fn run<S: Send>(&mut self, shards: &mut [S], work: impl Fn(usize, &mut S) + Sync) {
-        if self.jobs <= 1 || shards.len() <= 1 {
-            for (i, s) in shards.iter_mut().enumerate() {
-                work(i, s);
-            }
-            return;
-        }
-        // One contiguous stripe of shards per worker, at most `jobs`
-        // workers; window barriers are frequent, so keep the per-window
-        // spawn count bounded.
-        let workers = self.jobs.min(shards.len());
-        let stripe = shards.len().div_ceil(workers);
-        let work = &work;
-        thread::scope(|scope| {
-            for (ci, chunk) in shards.chunks_mut(stripe).enumerate() {
-                scope.spawn(move || {
-                    for (j, s) in chunk.iter_mut().enumerate() {
-                        work(ci * stripe + j, s);
-                    }
-                });
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,20 +192,5 @@ mod tests {
         let out = run_ordered(4, tasks);
         assert_eq!(out.len(), 40);
         assert_eq!(CALLS.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn parallel_runner_matches_serial_runner() {
-        use ull_simkit::WindowRunner;
-        let run = |runner: &mut dyn FnMut(&mut [u64])| {
-            let mut shards: Vec<u64> = (0..7).collect();
-            runner(&mut shards);
-            shards
-        };
-        let serial = run(&mut |s| ull_simkit::SerialRunner.run(s, |i, v| *v += i as u64 * 100));
-        for jobs in [1, 2, 4, 16] {
-            let par = run(&mut |s| ParallelRunner { jobs }.run(s, |i, v| *v += i as u64 * 100));
-            assert_eq!(par, serial, "jobs={jobs}");
-        }
     }
 }

@@ -23,12 +23,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod component;
 mod fs;
 mod nbd;
 
-pub use component::{
-    NbdActor, NbdClientActor, NbdRequestEvent, NbdResponseEvent, NbdServerActor, NbdWire,
-};
 pub use fs::{Ext4Model, Ext4Params};
 pub use nbd::{NbdIoResult, NbdServerKind, NbdSystem, NetworkParams};

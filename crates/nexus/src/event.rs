@@ -1,13 +1,13 @@
 //! Wire events of the nexus world.
 //!
-//! The frontend and its children are distinct actors, usually on
-//! different shards, so everything that crosses an actor boundary is a
-//! `pub` event struct carrying the frontend-assigned command sequence
-//! number `seq`. `seq` is a total order over every command the nexus
-//! ever issues: together with the shard layer's `(time, src, seq)`
-//! merge key it pins the delivery order — and hence every digest
-//! application order — independent of the shard count (simlint S014
-//! requires exactly this of wire events that carry simulated time).
+//! The frontend and its children are distinct actors, so everything
+//! that crosses an actor boundary is a `pub` event struct carrying the
+//! frontend-assigned command sequence number `seq`. `seq` is a total
+//! order over every command the nexus ever issues: together with the
+//! world's `(time, src, seq)` pop-order key it pins the delivery order
+//! — and hence every digest application order — to logical identities
+//! alone (simlint S014 requires exactly this of wire events that carry
+//! simulated time).
 
 use ull_simkit::{SimDuration, SimTime, SlotId};
 
@@ -61,7 +61,7 @@ pub struct ChildCmdEvent {
 /// Carries both the completion instant and `seq`: the `(done_at, seq)`
 /// pair is totally ordered even when two children complete at the same
 /// instant, which is what keeps the frontend's bookkeeping (and its
-/// event-history checksum) byte-identical at any shard count.
+/// event-history checksum) deterministic.
 #[derive(Debug, Clone, Copy)]
 pub struct ChildDoneEvent {
     /// Echo of the command's sequence number.

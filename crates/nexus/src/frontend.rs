@@ -4,9 +4,8 @@
 //! One frontend actor owns all volume state — the serving set, the
 //! in-flight op table, the dirty-range log of a live rebuild — as plain
 //! fields (no interior mutability; simlint S011). Children are reached
-//! only through timestamped [`NexusEvent`]s, so the whole volume shards
-//! under `ShardedWorld` and every report is byte-identical at any shard
-//! count.
+//! only through timestamped [`NexusEvent`]s, so the whole volume runs
+//! as actors of one `ull_simkit::World`.
 //!
 //! Fault handling is a three-step pipeline:
 //!
@@ -216,7 +215,7 @@ impl NexusFrontend {
     }
 
     /// Issues the initial queue-depth worth of client I/O (call through
-    /// `ShardedWorld::seed`).
+    /// `World::seed`).
     pub fn prime(&mut self, sched: &mut Scheduler<'_, NexusEvent>) {
         let prime = self.cfg.ios.min(u64::from(self.cfg.iodepth));
         for _ in 0..prime {

@@ -1,6 +1,6 @@
 //! Replicated-volume nexus: one volume mirrored over N child replicas,
 //! each child a distinct simulated SSD behind its own NVMe controller
-//! and host stack, all sharding under `ull-simkit`'s `ShardedWorld`.
+//! and host stack, all actors of one `ull-simkit` `World`.
 //!
 //! The nexus reproduces the robustness story around the paper's
 //! ultra-low-latency devices: when a device misbehaves (timeouts,
@@ -17,8 +17,8 @@
 //! - [`rebuild`] — the dirty-range log and scan-head race rules.
 //! - [`NexusChild`] — one replica actor (SSD + NVMe + host stack).
 //! - [`NexusFrontend`] — routing, fault scoring, retirement, rebuild.
-//! - [`run_nexus`] — builds the world and runs it to quiescence; the
-//!   [`NexusReport`] is byte-identical at any shard count.
+//! - [`run_nexus`] — builds the world and runs it to quiescence,
+//!   returning the [`NexusReport`].
 //!
 //! The design rules (content-at-arrival digests, the exactly-once
 //! dirty-mark guarantee, throttle semantics, the accounting
@@ -44,8 +44,9 @@ pub use report::{NexusCounters, NexusReport};
 pub use world::{run_nexus, run_nexus_stepped, NexusActor};
 
 /// Latency floor of the frontend↔child link (an in-chassis hop). This
-/// is the nexus world's lookahead: every cross-actor send departs at
-/// least this far in the future, so the floor never distorts timing.
+/// is the nexus world's cross-actor floor: every cross-actor send
+/// departs at least this far in the future, so the floor never
+/// distorts timing.
 pub const CHILD_LINK: SimDuration = SimDuration::from_micros(2);
 
 /// Rebuild copy-scan rate control.

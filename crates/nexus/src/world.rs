@@ -1,7 +1,7 @@
 //! Building and running the nexus world: one frontend actor plus N
-//! child actors under `ShardedWorld`.
+//! child actors in one `ull_simkit::World`.
 
-use ull_simkit::{ActorId, Component, Lookahead, Scheduler, ShardedWorld, SimTime, WindowRunner};
+use ull_simkit::{ActorId, Component, Scheduler, SerialRunner, SimTime, World};
 
 use crate::child::NexusChild;
 use crate::event::NexusEvent;
@@ -29,7 +29,7 @@ impl Component for NexusActor {
         }
     }
 
-    /// A shard batch is single-destination, so the enum dispatch is one
+    /// A world batch is single-destination, so the enum dispatch is one
     /// match per slice instead of one per event; the inner component's
     /// `on_batch` (its trait default: an in-order drain) preserves
     /// per-event order exactly.
@@ -46,15 +46,18 @@ impl Component for NexusActor {
     }
 }
 
-/// Builds the nexus world for `cfg`, runs it to quiescence on `shards`
-/// shards with `runner` driving the windows, and returns the report.
+/// Builds the nexus world for `cfg`, runs it to quiescence and returns
+/// the report.
 ///
 /// Child `i < cfg.faulty_children` gets the config's fault plan with a
 /// per-child decorrelated seed (distinct children draw independent
-/// lotteries); the rest run pristine. The report is byte-identical at
-/// any shard count.
-pub fn run_nexus(cfg: &NexusConfig, shards: usize, runner: &mut impl WindowRunner) -> NexusReport {
-    run_nexus_inner(cfg, shards, runner, false)
+/// lotteries); the rest run pristine.
+///
+/// The last two parameters are ignored. They remain only because the
+/// host-time benchmark (`perfbench/`), which may change only together
+/// with the benchmark itself, calls `run_nexus(&cfg, 1, &mut SerialRunner)`.
+pub fn run_nexus(cfg: &NexusConfig, _shards: usize, _runner: &mut SerialRunner) -> NexusReport {
+    run_nexus_inner(cfg, false)
 }
 
 /// [`run_nexus`] with slice dispatch disabled: every event is delivered
@@ -63,20 +66,11 @@ pub fn run_nexus(cfg: &NexusConfig, shards: usize, runner: &mut impl WindowRunne
 /// this is the reference side of that differential test, not a public
 /// API surface.
 #[doc(hidden)]
-pub fn run_nexus_stepped(
-    cfg: &NexusConfig,
-    shards: usize,
-    runner: &mut impl WindowRunner,
-) -> NexusReport {
-    run_nexus_inner(cfg, shards, runner, true)
+pub fn run_nexus_stepped(cfg: &NexusConfig) -> NexusReport {
+    run_nexus_inner(cfg, true)
 }
 
-fn run_nexus_inner(
-    cfg: &NexusConfig,
-    shards: usize,
-    runner: &mut impl WindowRunner,
-    stepped: bool,
-) -> NexusReport {
+fn run_nexus_inner(cfg: &NexusConfig, stepped: bool) -> NexusReport {
     let mut actors = Vec::with_capacity(cfg.children as usize + 1);
     actors.push(NexusActor::Frontend(Box::new(NexusFrontend::new(
         cfg.clone(),
@@ -96,14 +90,14 @@ fn run_nexus_inner(
             plan.as_ref(),
         ))));
     }
-    let mut world = ShardedWorld::new(shards, Lookahead::from_floor(CHILD_LINK), actors);
+    let mut world = World::new(CHILD_LINK, actors);
     world.set_stepped_dispatch(stepped);
     world.seed(ActorId(0), |a, sched| {
         if let NexusActor::Frontend(f) = a {
             f.prime(sched);
         }
     });
-    world.run_with(runner);
+    world.run();
     let mut frontend = None;
     let mut digests: Vec<Vec<u64>> = Vec::new();
     for a in world.into_actors() {
@@ -122,7 +116,6 @@ fn run_nexus_inner(
 mod tests {
     use super::*;
     use ull_faults::FaultPlan;
-    use ull_simkit::SerialRunner;
     use ull_ssd::presets;
 
     fn quick_cfg() -> NexusConfig {
@@ -174,26 +167,9 @@ mod tests {
         cfg.plan = FaultPlan::uniform(0x4E05, 2e-2);
         cfg.budget = 3;
         cfg.probe = true;
-        let batched = run_nexus(&cfg, 2, &mut SerialRunner);
-        let stepped = run_nexus_stepped(&cfg, 2, &mut SerialRunner);
+        let batched = run_nexus(&cfg, 1, &mut SerialRunner);
+        let stepped = run_nexus_stepped(&cfg);
         assert!(batched.counters.fault_events > 0, "faults must fire");
         assert_eq!(batched, stepped);
-    }
-
-    #[test]
-    fn nexus_report_is_byte_identical_at_any_shard_count() {
-        let mut cfg = quick_cfg();
-        cfg.plan = FaultPlan::uniform(0x4E05, 2e-2);
-        cfg.budget = 3;
-        cfg.probe = true;
-        let serial = run_nexus(&cfg, 1, &mut SerialRunner);
-        assert!(serial.counters.retired_children >= 1);
-        for shards in [2, 4] {
-            assert_eq!(
-                run_nexus(&cfg, shards, &mut SerialRunner),
-                serial,
-                "shards={shards}"
-            );
-        }
     }
 }

@@ -8,8 +8,8 @@
 //! state, receives timestamped events, and emits follow-ups through a
 //! [`Scheduler`] handle instead of touching a wheel directly. The same
 //! component then runs unchanged under the single-actor [`Engine`] here
-//! or inside a multi-core [`ShardedWorld`](crate::ShardedWorld)
-//! (see `docs/SHARDING.md`).
+//! or inside a multi-actor [`World`](crate::World) (see
+//! `docs/SHARDING.md`).
 //!
 //! # Examples
 //!
@@ -42,29 +42,27 @@
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 
-/// Identity of one logical actor in a simulated world.
-///
-/// The id is the *logical shard* of the `(time, shard, seq)` merge key:
-/// it is assigned once when the world is built and never changes with
-/// the physical shard count, which is what keeps cross-actor event
-/// ordering — and therefore every report byte — identical at any shard
-/// count (see `docs/SHARDING.md`).
+/// Identity of one actor in a simulated world: its index in the
+/// [`World`](crate::World), and the `src` of the `(time, src, seq)` key
+/// that orders same-instant cross-actor arrivals (see
+/// `docs/SHARDING.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 
 /// Where a [`Scheduler`] routes the events a component emits.
 ///
 /// Dispatched dynamically so one `Scheduler` type serves both the
-/// single-actor [`Engine`] (everything lands in its own wheel) and the
-/// sharded world (cross-actor sends go to an outbox). The indirection
-/// costs one virtual call per emitted event, well below the cost of the
+/// single-actor [`Engine`] (everything lands in its own wheel, FIFO)
+/// and the multi-actor [`World`](crate::World) (events tagged with
+/// their destination and keyed by their sender). The indirection costs
+/// one virtual call per emitted event, well below the cost of the
 /// wheel insert behind it.
 pub(crate) trait EventSink<E> {
     /// Schedule onto the emitting actor's own timeline. `key` is the
     /// caller's tie-break (`None` = FIFO insertion order).
     fn local(&mut self, at: SimTime, key: Option<u64>, ev: E);
-    /// Deliver to another actor's timeline (already lookahead-floored
-    /// by the [`Scheduler`]).
+    /// Deliver to another actor's timeline (already floored by the
+    /// [`Scheduler`]).
     fn remote(&mut self, dst: ActorId, at: SimTime, ev: E);
 }
 
@@ -85,7 +83,7 @@ impl<E> EventSink<E> for TimingWheel<E> {
 /// The handle a [`Component`] emits events through.
 ///
 /// Borrowed for the duration of one dispatch; it knows the current
-/// instant, the emitting actor, and the world's lookahead floor, and it
+/// instant, the emitting actor, and the world's cross-actor floor, and it
 /// routes each emission either to the actor's own timeline
 /// ([`at`](Self::at)/[`at_keyed`](Self::at_keyed)) or across actors
 /// ([`send`](Self::send)).
@@ -108,8 +106,8 @@ impl<E> Scheduler<'_, E> {
         self.me
     }
 
-    /// The world's cross-actor lookahead floor (zero under a
-    /// single-actor [`Engine`]).
+    /// The floor the world puts on cross-actor sends, its minimum
+    /// link latency (zero under a single-actor [`Engine`]).
     pub fn lookahead(&self) -> SimDuration {
         self.floor
     }
@@ -130,10 +128,10 @@ impl<E> Scheduler<'_, E> {
 
     /// Sends `ev` to actor `dst`.
     ///
-    /// Cross-actor sends are floored to `now + lookahead` — the promise
-    /// conservative synchronization rests on: no event can arrive
-    /// inside the window currently being drained. A send to `self`
-    /// is a local FIFO schedule and is not floored.
+    /// A cross-actor send is floored to `now + lookahead()`: no
+    /// message crosses between actors faster than the world's minimum
+    /// link latency. A send to `self` is a local FIFO schedule and is
+    /// not floored.
     pub fn send(&mut self, dst: ActorId, at: SimTime, ev: E) {
         if dst == self.me {
             self.sink.local(at, None, ev);
@@ -143,11 +141,13 @@ impl<E> Scheduler<'_, E> {
         }
     }
 
-    /// Stops the driving engine after the current dispatch returns.
+    /// Stops the driving [`Engine`] after the current dispatch returns.
     ///
     /// The device scheduler uses this for completion-queue
     /// backpressure: a full CQ must block *all* later completions
-    /// (head-of-line), not just skip the one that failed to post.
+    /// (head-of-line), not just skip the one that failed to post. A
+    /// [`World`](crate::World) does not stop on it: it runs until no
+    /// event is pending.
     pub fn halt(&mut self) {
         *self.halted = true;
     }

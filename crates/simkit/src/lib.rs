@@ -15,9 +15,8 @@
 //!   every engine loop runs on: components own local state, receive
 //!   timestamped events, and emit follow-ups through a handle instead of
 //!   draining a wheel of their own.
-//! * [`ShardedWorld`] / [`Lookahead`] — conservative parallel DES:
-//!   actors partitioned across per-shard wheels, windows bounded by the
-//!   cross-actor latency floor, byte-identical at any shard count
+//! * [`World`] — many actors on one wheel, exchanging events under a
+//!   cross-actor latency floor with a pop order fixed by logical keys
 //!   (`docs/SHARDING.md`).
 //! * [`Slab`] / [`Label`] — allocation-free per-request state: reusable
 //!   generational slots and interned job labels.
@@ -52,27 +51,25 @@ mod event;
 mod hist;
 mod json;
 mod label;
-mod lookahead;
 mod resource;
 mod rng;
 mod series;
-mod shard;
 mod slab;
 mod stats;
 mod time;
 mod wheel;
+mod world;
 
 pub use component::{ActorId, Component, Engine, Scheduler, Unbatched};
 pub use event::EventQueue;
 pub use hist::Histogram;
 pub use json::Json;
 pub use label::Label;
-pub use lookahead::Lookahead;
 pub use resource::{ServerPool, Slot, Timeline};
 pub use rng::SplitMix64;
 pub use series::TimeSeries;
-pub use shard::{SerialRunner, ShardEvent, ShardedWorld, WindowRunner};
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimingWheel;
+pub use world::{SerialRunner, World};

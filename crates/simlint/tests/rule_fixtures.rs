@@ -863,8 +863,7 @@ fn s014_polices_cross_shard_wire_events() {
     // The inter-shard wire format: two same-instant events from
     // different shards merge in whatever order the barrier drained them
     // unless the struct itself carries a total order. This is the exact
-    // hazard the `(time, shard, seq)` merge key exists for
-    // (docs/SHARDING.md).
+    // hazard the `(time, src, seq)` keys exist for (docs/SHARDING.md).
     let bad = "use ull_simkit::SimTime;\n\
                pub struct ShardHopEvent {\n\
                    pub at: SimTime,\n\
@@ -872,8 +871,8 @@ fn s014_polices_cross_shard_wire_events() {
                    pub payload: u64,\n\
                }\n";
     assert_eq!(sim(bad), ["S014:2"]);
-    // The shipped shape: a per-source emission counter next to the
-    // timestamp (`ShardEvent` in ull-simkit carries exactly this).
+    // The accepted shape: a per-source emission counter next to the
+    // timestamp.
     let good = "use ull_simkit::SimTime;\n\
                 pub struct ShardHopEvent {\n\
                     pub at: SimTime,\n\

@@ -31,7 +31,7 @@ use ull_nvme::NvmeController;
 use ull_probe::ProbeConfig;
 use ull_ssd::{presets, Ssd, SsdConfig};
 use ull_stack::{Host, IoPath, SoftwareCosts};
-use ull_workload::{parse_trace, precondition_full, replay, run_job, Engine, JobSpec};
+use ull_workload::{parse_rw, parse_trace, precondition_full, replay, run_job, Engine, JobSpec};
 
 struct Args {
     device: SsdConfig,
@@ -82,9 +82,27 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--rw" => args.rw = value(),
-            "--bs" => args.bs = value().parse().unwrap_or_else(|_| usage()),
-            "--iodepth" => args.iodepth = value().parse().unwrap_or_else(|_| usage()),
+            // `JobSpec` panics on any other mode, block size or depth.
+            "--rw" => {
+                args.rw = value();
+                if parse_rw(&args.rw).is_none() {
+                    usage();
+                }
+            }
+            "--bs" => {
+                args.bs = value()
+                    .parse()
+                    .ok()
+                    .filter(|bs: &u32| *bs > 0 && bs.is_multiple_of(4096))
+                    .unwrap_or_else(|| usage())
+            }
+            "--iodepth" => {
+                args.iodepth = value()
+                    .parse()
+                    .ok()
+                    .filter(|d: &u32| *d > 0)
+                    .unwrap_or_else(|| usage())
+            }
             "--engine" => {
                 args.engine = match value().as_str() {
                     "pvsync2" | "sync" => Engine::Pvsync2,

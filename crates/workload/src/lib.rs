@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fleet;
 mod pattern;
 mod report;
 mod runner;
@@ -42,10 +41,9 @@ mod trace;
 // `Json` moved down to `ull-simkit` so crates below the workload layer
 // (notably `ull-probe`'s trace writer) can emit documents too; re-exported
 // here so existing `ull_workload::Json` users keep compiling.
-pub use fleet::{run_fleet, FleetEvent, FleetNode, FleetNodeReport, GOSSIP_LINK};
 pub use pattern::AddressStream;
 pub use report::JobReport;
 pub use runner::{precondition_full, run_job};
-pub use spec::{Engine, JobSpec, Pattern};
+pub use spec::{parse_rw, Engine, JobSpec, Pattern};
 pub use trace::{parse_trace, replay, ParseTraceError, TraceOp, TraceReport};
 pub use ull_simkit::Json;

@@ -162,24 +162,31 @@ impl JobSpec {
     }
 
     /// fio-style shorthand: `"seqread"`, `"randread"`, `"seqwrite"`,
-    /// `"randwrite"`, `"randrw"`.
+    /// `"randwrite"`, `"randrw"` (see [`parse_rw`]).
     ///
     /// # Panics
     ///
     /// Panics on an unknown mode string.
     pub fn rw(mut self, mode: &str) -> Self {
-        let (pattern, frac) = match mode {
-            "seqread" | "read" => (Pattern::Sequential, 1.0),
-            "randread" => (Pattern::Random, 1.0),
-            "seqwrite" | "write" => (Pattern::Sequential, 0.0),
-            "randwrite" => (Pattern::Random, 0.0),
-            "randrw" => (Pattern::Random, 0.5),
-            other => panic!("unknown rw mode {other:?}"),
-        };
+        let (pattern, frac) = parse_rw(mode).unwrap_or_else(|| panic!("unknown rw mode {mode:?}"));
         self.pattern = pattern;
         self.read_fraction = frac;
         self
     }
+}
+
+/// The pattern and read fraction of an fio-style `rw` mode:
+/// `"seqread"` (alias `"read"`), `"randread"`, `"seqwrite"` (alias
+/// `"write"`), `"randwrite"` or `"randrw"`; `None` for any other string.
+pub fn parse_rw(mode: &str) -> Option<(Pattern, f64)> {
+    Some(match mode {
+        "seqread" | "read" => (Pattern::Sequential, 1.0),
+        "randread" => (Pattern::Random, 1.0),
+        "seqwrite" | "write" => (Pattern::Sequential, 0.0),
+        "randwrite" => (Pattern::Random, 0.0),
+        "randrw" => (Pattern::Random, 0.5),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
