@@ -24,7 +24,7 @@
 //!    log (see [`crate::rebuild`]) until the child is caught up, at
 //!    which point it re-joins the serving set.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ull_faults::SALT_REBUILD;
 use ull_probe::{OpKind, SpanRecorder, Stage};
@@ -33,6 +33,7 @@ use ull_simkit::{ActorId, Component, Histogram, Scheduler, SimDuration, SimTime,
 use crate::event::{ChildCmdEvent, ChildDoneEvent, CmdKind, NexusEvent};
 use crate::rebuild::{RangeLog, WriteRouting};
 use crate::report::{NexusCounters, NexusReport};
+use crate::ring::IdRing;
 use crate::{NexusConfig, Throttle, CHILD_LINK};
 
 /// Frontend routing cost per client op (replica choice, op table).
@@ -137,10 +138,10 @@ pub struct NexusFrontend {
     cfg: NexusConfig,
     children: Vec<ChildSlot>,
     stride: u64,
-    next_seq: u64,
-    next_req: u64,
-    ops: BTreeMap<u64, Op>,
-    seq_map: BTreeMap<u64, SeqTarget>,
+    /// In-flight client ops by op id.
+    ops: IdRing<Op>,
+    /// In-flight child commands by seq.
+    seq_map: IdRing<SeqTarget>,
     rr_read: u32,
     rr_copy: u32,
     addr_rng: SplitMix64,
@@ -191,10 +192,8 @@ impl NexusFrontend {
             cfg,
             children,
             stride,
-            next_seq: 0,
-            next_req: 0,
-            ops: BTreeMap::new(),
-            seq_map: BTreeMap::new(),
+            ops: IdRing::new(),
+            seq_map: IdRing::new(),
             rr_read: 0,
             rr_copy: 0,
             addr_rng,
@@ -248,10 +247,7 @@ impl NexusFrontend {
     }
 
     fn alloc_seq(&mut self, target: SeqTarget) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.seq_map.insert(seq, target);
-        seq
+        self.seq_map.push(target)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -328,8 +324,7 @@ impl NexusFrontend {
             } else {
                 SimDuration::ZERO
             };
-        let op_id = self.next_req;
-        self.next_req += 1;
+        let op_id = self.ops.next_id();
         let kind = if read { OpKind::Read } else { OpKind::Write };
         let rec = self
             .cfg
@@ -399,27 +394,24 @@ impl NexusFrontend {
                 }
             }
         }
-        self.ops.insert(
-            op_id,
-            Op {
-                read,
-                offset,
-                len,
-                remaining,
-                issue: at,
-                routed,
-                dispatch: routed,
-                degraded,
-                rec,
-                last_done: SimTime::ZERO,
-                last_overlap: SimDuration::ZERO,
-            },
-        );
+        self.ops.push(Op {
+            read,
+            offset,
+            len,
+            remaining,
+            issue: at,
+            routed,
+            dispatch: routed,
+            degraded,
+            rec,
+            last_done: SimTime::ZERO,
+            last_overlap: SimDuration::ZERO,
+        });
         self.counters.submitted += 1;
     }
 
     fn complete_op(&mut self, op_id: u64, now: SimTime, sched: &mut Scheduler<'_, NexusEvent>) {
-        let op = self.ops.remove(&op_id).expect("completing a live op");
+        let op = self.ops.remove(op_id).expect("completing a live op");
         let visible = now + COMPLETE_COST;
         let lat = visible.saturating_since(op.issue);
         self.latency.record(lat);
@@ -469,7 +461,7 @@ impl NexusFrontend {
         sched: &mut Scheduler<'_, NexusEvent>,
     ) {
         let finished = {
-            let op = self.ops.get_mut(&op_id).expect("ack for a live op");
+            let op = self.ops.get_mut(op_id).expect("ack for a live op");
             op.remaining -= 1;
             op.last_done = d.done_at;
             op.last_overlap = d.rebuild_overlap;
@@ -530,10 +522,10 @@ impl NexusFrontend {
                 SeqTarget::CopyRead { src, .. } => *src == child,
                 _ => false,
             })
-            .map(|(s, t)| (*s, *t))
+            .map(|(s, t)| (s, *t))
             .collect();
         for (seq, target) in orphans {
-            self.seq_map.remove(&seq);
+            self.seq_map.remove(seq);
             match target {
                 SeqTarget::Client { op, .. } => self.abandon_leg(now, op, sched),
                 SeqTarget::CopyRead { range, .. } => self.reissue_copy_read(now, range, sched),
@@ -548,7 +540,7 @@ impl NexusFrontend {
 
     fn abandon_leg(&mut self, now: SimTime, op_id: u64, sched: &mut Scheduler<'_, NexusEvent>) {
         let (read, finished) = {
-            let op = self.ops.get_mut(&op_id).expect("abandoning a live leg");
+            let op = self.ops.get_mut(op_id).expect("abandoning a live leg");
             op.remaining -= 1;
             (op.read, op.remaining == 0)
         };
@@ -564,7 +556,7 @@ impl NexusFrontend {
             self.counters.failover_reads += 1;
             let c = self.pick_read_child();
             let (offset, len, dispatch) = {
-                let op = self.ops.get_mut(&op_id).expect("failing over a live op");
+                let op = self.ops.get_mut(op_id).expect("failing over a live op");
                 op.dispatch = now + FAILOVER_COST;
                 op.remaining = 1;
                 (op.offset, op.len, op.dispatch)
@@ -763,7 +755,7 @@ impl NexusFrontend {
             0x10 + u64::from(d.child),
             d.seq ^ d.done_at.as_nanos().rotate_left(17) ^ d.fault_delta,
         );
-        let Some(target) = self.seq_map.remove(&d.seq) else {
+        let Some(target) = self.seq_map.remove(d.seq) else {
             self.counters.stale_acks += 1;
             return;
         };

@@ -29,6 +29,7 @@ pub mod event;
 mod frontend;
 pub mod rebuild;
 mod report;
+mod ring;
 mod world;
 
 use ull_faults::FaultPlan;

@@ -23,10 +23,12 @@ pub struct QueuePair {
     /// Controller-filled completion ring.
     pub cq: CompletionQueue,
     /// Completions computed by the backend but not yet visible to the host,
-    /// ordered by `(completion instant, cid)` — the engine wheel's keyed
-    /// tie-break reproduces the historical `BinaryHeap<Reverse<(u64, u16)>>`
-    /// order exactly (cids are unique among in-flight commands, so the
-    /// insertion-sequence tail of the wheel's ordering never decides).
+    /// ordered by `(completion instant, cid)`: each is scheduled keyed by
+    /// its cid, and cids are unique among in-flight commands, so the
+    /// insertion-sequence tail of the engine's `(time, key, seq)` order
+    /// never decides. A queue pair holds only its in-flight commands here
+    /// (at most 6–11 in a nexus child), so its heap stays a few entries
+    /// deep.
     pending: Engine<u16>,
 }
 
@@ -468,12 +470,12 @@ impl NvmeController {
 
     /// Earliest instant at which a pending completion becomes visible on
     /// this queue (before MSI latency).
-    pub fn next_completion_at(&mut self, qid: u16) -> Option<SimTime> {
+    pub fn next_completion_at(&self, qid: u16) -> Option<SimTime> {
         self.qpairs[qid as usize].pending.peek_time()
     }
 
     /// Earliest instant the host IRQ for this queue would fire.
-    pub fn next_interrupt_at(&mut self, qid: u16) -> Option<SimTime> {
+    pub fn next_interrupt_at(&self, qid: u16) -> Option<SimTime> {
         self.next_completion_at(qid).map(|t| t + self.msi_latency)
     }
 

@@ -1,12 +1,12 @@
 //! The shared component (actor) API every engine loop runs on.
 //!
 //! Before this module, four crates hand-rolled the same drain loop — pop
-//! the earliest event off a private [`TimingWheel`], mutate local state,
+//! the earliest event off a private [`EventQueue`], mutate local state,
 //! push follow-up events — in the stack async engine, the NVMe device
 //! scheduler, the NBD server and the workload runner/trace replay. The
 //! [`Component`] trait names that shape once: a component owns local
 //! state, receives timestamped events, and emits follow-ups through a
-//! [`Scheduler`] handle instead of touching a wheel directly. The same
+//! [`Scheduler`] handle instead of touching a queue directly. The same
 //! component then runs unchanged under the single-actor [`Engine`] here
 //! or inside a multi-actor [`World`](crate::World) (see
 //! `docs/SHARDING.md`).
@@ -39,8 +39,8 @@
 //! assert_eq!(t.ticks, 5);
 //! ```
 
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// Identity of one actor in a simulated world: its index in the
 /// [`World`](crate::World), and the `src` of the `(time, src, seq)` key
@@ -52,11 +52,11 @@ pub struct ActorId(pub u32);
 /// Where a [`Scheduler`] routes the events a component emits.
 ///
 /// Dispatched dynamically so one `Scheduler` type serves both the
-/// single-actor [`Engine`] (everything lands in its own wheel, FIFO)
+/// single-actor [`Engine`] (everything lands in its own queue, FIFO)
 /// and the multi-actor [`World`](crate::World) (events tagged with
 /// their destination and keyed by their sender). The indirection costs
 /// one virtual call per emitted event, well below the cost of the
-/// wheel insert behind it.
+/// heap insert behind it.
 pub(crate) trait EventSink<E> {
     /// Schedule onto the emitting actor's own timeline. `key` is the
     /// caller's tie-break (`None` = FIFO insertion order).
@@ -66,7 +66,7 @@ pub(crate) trait EventSink<E> {
     fn remote(&mut self, dst: ActorId, at: SimTime, ev: E);
 }
 
-impl<E> EventSink<E> for TimingWheel<E> {
+impl<E> EventSink<E> for EventQueue<E> {
     fn local(&mut self, at: SimTime, key: Option<u64>, ev: E) {
         match key {
             Some(k) => self.schedule_keyed(at, k, ev),
@@ -75,7 +75,7 @@ impl<E> EventSink<E> for TimingWheel<E> {
     }
 
     fn remote(&mut self, _dst: ActorId, at: SimTime, ev: E) {
-        // Single-actor world: every destination is this wheel.
+        // Single-actor world: every destination is this queue.
         self.schedule(at, ev);
     }
 }
@@ -168,7 +168,7 @@ impl<E> core::fmt::Debug for Scheduler<'_, E> {
 /// Implementations receive events through [`on_event`](Self::on_event)
 /// (or same-instant batches through [`on_batch`](Self::on_batch)) and
 /// emit follow-ups through the [`Scheduler`] — never by draining a
-/// wheel of their own, which is what lets one implementation run under
+/// queue of their own, which is what lets one implementation run under
 /// either driver.
 pub trait Component {
     /// The component's event payload.
@@ -217,7 +217,7 @@ impl<C: Component> Component for Unbatched<C> {
     // component's `on_event` — its batch fast path is never consulted.
 }
 
-/// The single-actor driver: one component, one timing wheel.
+/// The single-actor driver: one component, one event queue.
 ///
 /// This is what the four hand-rolled engine loops were each an
 /// open-coded copy of. [`run`](Self::run) drains same-instant batches
@@ -227,7 +227,7 @@ impl<C: Component> Component for Unbatched<C> {
 /// events still pending at that instant (trace replay's
 /// submit-before-completion tie).
 pub struct Engine<E> {
-    wheel: TimingWheel<E>,
+    queue: EventQueue<E>,
     batch: Vec<E>,
     halted: bool,
 }
@@ -242,7 +242,7 @@ impl<E> Engine<E> {
     /// Creates an empty engine based at time zero.
     pub fn new() -> Self {
         Engine {
-            wheel: TimingWheel::new(),
+            queue: EventQueue::new(),
             batch: Vec::new(),
             halted: false,
         }
@@ -250,13 +250,13 @@ impl<E> Engine<E> {
 
     /// Schedules an event from outside any dispatch (FIFO tie-break).
     pub fn schedule(&mut self, at: SimTime, ev: E) {
-        self.wheel.schedule(at, ev);
+        self.queue.schedule(at, ev);
     }
 
     /// Schedules an event from outside any dispatch with a caller
     /// tie-break key.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: E) {
-        self.wheel.schedule_keyed(at, key, ev);
+        self.queue.schedule_keyed(at, key, ev);
     }
 
     /// Runs `f` with a [`Scheduler`] pinned to instant `now` — the
@@ -272,18 +272,18 @@ impl<E> Engine<E> {
             me: ActorId(0),
             floor: SimDuration::ZERO,
             halted: &mut self.halted,
-            sink: &mut self.wheel,
+            sink: &mut self.queue,
         };
         f(&mut sched)
     }
 
     /// Drains every pending event through `c`, batch per instant, until
-    /// the wheel is empty or the component [`halt`](Scheduler::halt)s.
+    /// the queue is empty or the component [`halt`](Scheduler::halt)s.
     pub fn run(&mut self, c: &mut impl Component<Event = E>) {
         self.halted = false;
         while !self.halted {
             let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.wheel.pop_same_instant(&mut batch) else {
+            let Some(t) = self.queue.pop_same_instant(&mut batch) else {
                 self.batch = batch;
                 return;
             };
@@ -292,7 +292,7 @@ impl<E> Engine<E> {
                 me: ActorId(0),
                 floor: SimDuration::ZERO,
                 halted: &mut self.halted,
-                sink: &mut self.wheel,
+                sink: &mut self.queue,
             };
             c.on_batch(t, &mut batch, &mut sched);
             batch.clear();
@@ -307,7 +307,7 @@ impl<E> Engine<E> {
         self.halted = false;
         while !self.halted {
             let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.wheel.pop_same_instant_until(bound, &mut batch) else {
+            let Some(t) = self.queue.pop_same_instant_until(bound, &mut batch) else {
                 self.batch = batch;
                 return;
             };
@@ -316,7 +316,7 @@ impl<E> Engine<E> {
                 me: ActorId(0),
                 floor: SimDuration::ZERO,
                 halted: &mut self.halted,
-                sink: &mut self.wheel,
+                sink: &mut self.queue,
             };
             c.on_batch(t, &mut batch, &mut sched);
             batch.clear();
@@ -325,15 +325,15 @@ impl<E> Engine<E> {
     }
 
     /// Drains events strictly one at a time through
-    /// [`Component::on_event`] until the wheel is empty or the
+    /// [`Component::on_event`] until the queue is empty or the
     /// component halts. An event the component emits at the current
     /// instant with a lower key than a still-pending same-instant event
-    /// is dispatched first — exactly the wheel semantics the open-coded
-    /// trace-replay loop relied on.
+    /// is dispatched first — exactly the `(time, key, seq)` order the
+    /// open-coded trace-replay loop relied on.
     pub fn run_stepped(&mut self, c: &mut impl Component<Event = E>) {
         self.halted = false;
         while !self.halted {
-            let Some((t, ev)) = self.wheel.pop() else {
+            let Some((t, ev)) = self.queue.pop() else {
                 return;
             };
             let mut sched = Scheduler {
@@ -341,7 +341,7 @@ impl<E> Engine<E> {
                 me: ActorId(0),
                 floor: SimDuration::ZERO,
                 halted: &mut self.halted,
-                sink: &mut self.wheel,
+                sink: &mut self.queue,
             };
             c.on_event(t, ev, &mut sched);
         }
@@ -349,30 +349,29 @@ impl<E> Engine<E> {
 
     /// Removes and returns the earliest pending event (reset paths).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
+        self.queue.pop()
     }
 
-    /// The earliest pending firing time (see
-    /// [`TimingWheel::peek_time`]).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
+    /// The earliest pending firing time.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.queue.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.queue.is_empty()
     }
 }
 
 impl<E> core::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Engine")
-            .field("pending", &self.wheel.len())
+            .field("pending", &self.queue.len())
             .field("halted", &self.halted)
             .finish()
     }

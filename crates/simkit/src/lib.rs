@@ -7,15 +7,13 @@
 //! Ultra-Low Latency SSDs"* (IISWC 2019):
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
-//! * [`EventQueue`] — deterministic time-ordered events with FIFO ties
-//!   (the `BinaryHeap` reference implementation).
-//! * [`TimingWheel`] — the hot-path hierarchical timing wheel with the
-//!   same ordering contract, plus caller-keyed tie-breaks.
+//! * [`EventQueue`] — the binary heap every timeline runs on: events pop
+//!   in ascending `(time, key, seq)`, with FIFO or caller-keyed ties.
 //! * [`Component`] / [`Scheduler`] / [`Engine`] — the shared actor API
 //!   every engine loop runs on: components own local state, receive
 //!   timestamped events, and emit follow-ups through a handle instead of
-//!   draining a wheel of their own.
-//! * [`World`] — many actors on one wheel, exchanging events under a
+//!   draining a queue of their own.
+//! * [`World`] — many actors on one event queue, exchanging events under a
 //!   cross-actor latency floor with a pop order fixed by logical keys
 //!   (`docs/SHARDING.md`).
 //! * [`Slab`] / [`Label`] — allocation-free per-request state: reusable
@@ -57,11 +55,10 @@ mod series;
 mod slab;
 mod stats;
 mod time;
-mod wheel;
 mod world;
 
 pub use component::{ActorId, Component, Engine, Scheduler, Unbatched};
-pub use event::EventQueue;
+pub use event::{EventQueue, TimingWheel};
 pub use hist::Histogram;
 pub use json::Json;
 pub use label::Label;
@@ -71,5 +68,4 @@ pub use series::TimeSeries;
 pub use slab::{Slab, SlotId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use wheel::TimingWheel;
 pub use world::{SerialRunner, World};

@@ -1,16 +1,15 @@
-//! The multi-actor world: many [`Component`] actors on one timing
-//! wheel.
+//! The multi-actor world: many [`Component`] actors on one event
+//! queue.
 //!
 //! A [`World`] holds its actors in a `Vec` indexed by [`ActorId`] and
 //! every pending event, tagged with its destination, on one
-//! [`TimingWheel`]. Each instant's events pop as one batch, and each
+//! [`EventQueue`]. Each instant's events pop as one batch, and each
 //! run of consecutive events for the same actor is handed to that
 //! actor's [`Component::on_batch`].
 //!
 //! # What decides pop order
 //!
-//! Wheel insertion order never breaks a tie; every event carries an
-//! explicit key:
+//! Every event carries an explicit key:
 //!
 //! * a cross-actor event is keyed `(src actor, per-source send seq)`,
 //!   so same-instant arrivals at one actor dispatch in ascending
@@ -20,14 +19,15 @@
 //!   dispatch before same-instant local follow-ups.
 //!
 //! [`Scheduler::send`] floors every cross-actor send at `now + floor`,
-//! where the floor is the world's minimum link latency. Same-instant
-//! events at different actors are the only ties left to the wheel, and
-//! they commute: actors share no state. `docs/SHARDING.md` gives the
-//! argument in full.
+//! where the floor is the world's minimum link latency. Insertion
+//! order decides only between equal keys: an actor's own equal explicit
+//! keys (emission order, as the caller asked), and same-instant events
+//! at different actors, which commute because actors share no state.
+//! `docs/SHARDING.md` gives the argument in full.
 
 use crate::component::{ActorId, Component, EventSink, Scheduler};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// Key namespace bit for an actor's own (local) events: every local
 /// key sorts above every cross-actor key, so arrivals dispatch before
@@ -49,9 +49,9 @@ struct Actor<C> {
     send_seq: u64,
 }
 
-/// Routes one dispatching actor's emissions onto the world's wheel.
+/// Routes one dispatching actor's emissions onto the world's queue.
 struct WorldSink<'a, E> {
-    wheel: &'a mut TimingWheel<(ActorId, E)>,
+    queue: &'a mut EventQueue<(ActorId, E)>,
     me: ActorId,
     local_seq: &'a mut u64,
     send_seq: &'a mut u64,
@@ -64,7 +64,7 @@ impl<E> EventSink<E> for WorldSink<'_, E> {
             *self.local_seq += 1;
             s
         });
-        self.wheel
+        self.queue
             .schedule_keyed(at, LOCAL_KEY_BIT | k, (self.me, ev));
     }
 
@@ -72,13 +72,13 @@ impl<E> EventSink<E> for WorldSink<'_, E> {
         let seq = *self.send_seq;
         *self.send_seq += 1;
         debug_assert!(seq < u64::from(u32::MAX), "per-source send seq overflow");
-        self.wheel
+        self.queue
             .schedule_keyed(at, remote_key(self.me, seq), (dst, ev));
     }
 }
 
-/// A world of actors exchanging timestamped events on one timing
-/// wheel.
+/// A world of actors exchanging timestamped events on one event
+/// queue.
 ///
 /// # Examples
 ///
@@ -115,7 +115,7 @@ impl<E> EventSink<E> for WorldSink<'_, E> {
 /// ```
 pub struct World<C: Component> {
     actors: Vec<Actor<C>>,
-    wheel: TimingWheel<(ActorId, C::Event)>,
+    queue: EventQueue<(ActorId, C::Event)>,
     floor: SimDuration,
     /// Force one-event-at-a-time dispatch (differential-test hook).
     stepped: bool,
@@ -143,7 +143,7 @@ impl<C: Component> World<C> {
                     send_seq: 0,
                 })
                 .collect(),
-            wheel: TimingWheel::new(),
+            queue: EventQueue::new(),
             floor,
             stepped: false,
         }
@@ -175,7 +175,7 @@ impl<C: Component> World<C> {
     pub fn run(&mut self) {
         let mut batch = Vec::new();
         let mut payloads = Vec::new();
-        while let Some(now) = self.wheel.pop_same_instant(&mut batch) {
+        while let Some(now) = self.queue.pop_same_instant(&mut batch) {
             let mut events = batch.drain(..).peekable();
             while let Some((dst, ev)) = events.next() {
                 if self.stepped {
@@ -201,7 +201,7 @@ impl<C: Component> World<C> {
     }
 
     /// Runs `f` over `actor`'s component with a [`Scheduler`] at `now`
-    /// that routes its emissions onto this world's wheel.
+    /// that routes its emissions onto this world's queue.
     fn dispatch(
         &mut self,
         actor: ActorId,
@@ -210,12 +210,12 @@ impl<C: Component> World<C> {
     ) {
         let slot = &mut self.actors[actor.0 as usize];
         let mut sink = WorldSink {
-            wheel: &mut self.wheel,
+            queue: &mut self.queue,
             me: actor,
             local_seq: &mut slot.local_seq,
             send_seq: &mut slot.send_seq,
         };
-        // Read by nothing: a world runs until its wheel is empty.
+        // Read by nothing: a world runs until its queue is empty.
         let mut halted = false;
         let mut sched = Scheduler {
             now,
@@ -232,7 +232,7 @@ impl<C: Component> core::fmt::Debug for World<C> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("World")
             .field("actors", &self.actors.len())
-            .field("pending", &self.wheel.len())
+            .field("pending", &self.queue.len())
             .field("floor", &self.floor)
             .finish()
     }
@@ -434,10 +434,10 @@ mod tests {
     /// `(at, src, seq)`, over seeded random worlds (random fan-out,
     /// delays and floors).
     ///
-    /// The first twelve trials keep every send inside the wheel's
-    /// ~4.2 ms near horizon (4,096 slots of 1,024 ns). The last four
-    /// send up to 12.6 ms ahead under floors of up to 8.4 ms, so events
-    /// are promoted out of the far heap.
+    /// The first twelve trials keep every send within 50 µs under
+    /// floors of up to 20 µs. The last four send up to 12.6 ms ahead
+    /// under floors of up to 8.4 ms, so the pending set spans
+    /// milliseconds of simulated time.
     #[test]
     fn delivery_logs_respect_the_merge_order() {
         let mut seeds = SplitMix64::new(0x5AAD_ED01);

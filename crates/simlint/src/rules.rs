@@ -235,7 +235,8 @@ pub fn check_file(
     }
     // Per-I/O hot paths promise a steady state free of String churn: one
     // format! in a million-IOPS loop is an allocator call per simulated
-    // I/O and dominated the pre-wheel profiles (docs/PERFORMANCE.md).
+    // I/O, and such calls dominated the early hot-path profiles
+    // (docs/PERFORMANCE.md).
     if is_hot_path(crate_name, &file.path) {
         check_tokens(file, "S010", &S010_TOKENS, S010_MSG, &mut out);
     }

@@ -9,7 +9,7 @@
 //! latency cliff.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use ull_simkit::{SimDuration, SimTime, SplitMix64};
 
@@ -37,16 +37,10 @@ pub struct WriteBuffer {
     /// Pending slot releases: program-end instants in ns, earliest on
     /// top. The instant is the whole entry, so equal entries are
     /// interchangeable and no tie order can change an admit decision.
-    /// Not a `TimingWheel`: a full buffer's thousands of releases span
-    /// more simulated time than the wheel's ~4.2 ms horizon, so nearly
-    /// every one would detour through its far heap, paying a heap push,
-    /// a promotion and a slot push and pop where this pays one push and
-    /// one pop.
     releases: BinaryHeap<Reverse<u64>>,
     /// lpn -> time at which the buffered copy stops being addressable
-    /// (program end); reads before that are DRAM hits. A `BTreeMap` so the
-    /// periodic `sweep` retains entries in a deterministic order (S003).
-    resident: BTreeMap<u64, u64>,
+    /// (program end); reads before that are DRAM hits.
+    resident: ResidentIndex,
     admitted: u64,
 }
 
@@ -61,7 +55,7 @@ impl WriteBuffer {
         WriteBuffer {
             capacity: capacity as usize,
             releases: BinaryHeap::new(),
-            resident: BTreeMap::new(),
+            resident: ResidentIndex::for_units(capacity as usize),
             admitted: 0,
         }
     }
@@ -98,8 +92,8 @@ impl WriteBuffer {
     /// buffered copy.
     pub fn holds(&self, lpn: u64, at: SimTime) -> bool {
         self.resident
-            .get(&lpn)
-            .is_some_and(|&until| at.as_nanos() < until)
+            .get(lpn)
+            .is_some_and(|until| at.as_nanos() < until)
     }
 
     /// Total units ever admitted.
@@ -115,7 +109,128 @@ impl WriteBuffer {
     fn sweep(&mut self, now: SimTime) {
         let now = now.as_nanos();
         self.resident
-            .retain(|_, &mut until| until == u64::MAX || until > now);
+            .retain(|until| until == u64::MAX || until > now);
+    }
+}
+
+/// Marks a free slot of the [`ResidentIndex`]. No lpn takes this value:
+/// an lpn is a byte offset divided by the 4 KB unit.
+const FREE: u64 = u64::MAX;
+
+/// The write buffer's resident set, `lpn -> until`: an open-addressing
+/// table with linear probing and a fixed multiplicative hash.
+///
+/// Sized by the buffer, not by the LBA space: about two slots per
+/// buffer unit to start, doubling whenever the load would pass one
+/// half. It allocates at construction and at growth only; inserts,
+/// lookups and sweeps run in place. Nothing iterates it in an order a
+/// caller can see, and the hash is a fixed function of the lpn, so its
+/// layout is as deterministic as the calls that built it. A fixed hash
+/// also means lpns chosen to collide (a crafted trace) can slow a
+/// lookup to a scan of the table; they cannot change an answer.
+#[derive(Debug)]
+struct ResidentIndex {
+    /// `(lpn, until)` pairs; `lpn == FREE` marks a free slot. The length
+    /// is a power of two.
+    slots: Vec<(u64, u64)>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl ResidentIndex {
+    /// An empty index for a buffer of `units` slots.
+    fn for_units(units: usize) -> Self {
+        let n = (2 * units).next_power_of_two().max(8);
+        ResidentIndex {
+            slots: vec![(FREE, 0); n],
+            shift: 64 - n.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// The slot `lpn`'s probe run starts at (Fibonacci hashing).
+    #[inline]
+    fn home(&self, lpn: u64) -> usize {
+        (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `lpn`, or the free slot that ends its probe run
+    /// (one exists: the load never passes one half).
+    #[inline]
+    fn find(&self, lpn: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(lpn);
+        while self.slots[i].0 != lpn && self.slots[i].0 != FREE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[inline]
+    fn get(&self, lpn: u64) -> Option<u64> {
+        let (key, until) = self.slots[self.find(lpn)];
+        (key == lpn && key != FREE).then_some(until)
+    }
+
+    /// Sets `lpn`'s entry to `until`, inserting it if absent.
+    #[inline]
+    fn insert(&mut self, lpn: u64, until: u64) {
+        if lpn == FREE {
+            return;
+        }
+        let mut i = self.find(lpn);
+        if self.slots[i].0 == FREE {
+            if 2 * (self.len + 1) > self.slots.len() {
+                self.grow();
+                i = self.find(lpn);
+            }
+            self.len += 1;
+        }
+        self.slots[i] = (lpn, until);
+    }
+
+    /// Doubles the table, re-placing every entry in slot order.
+    fn grow(&mut self) {
+        let doubled = vec![(FREE, 0); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        for (lpn, until) in old {
+            if lpn != FREE {
+                let i = self.find(lpn);
+                self.slots[i] = (lpn, until);
+            }
+        }
+    }
+
+    /// Drops every entry whose `until` fails `keep`, in place.
+    ///
+    /// One pass in slot order, starting just after a free slot: no
+    /// probe run crosses a free slot, so each entry's home lies between
+    /// that slot and the entry. Each entry is lifted out and, if kept,
+    /// put back at the first free slot of its probe run, which is at or
+    /// before where it was. Slots already passed are final, so every
+    /// kept entry stays reachable from its home.
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        let n = self.slots.len();
+        let Some(start) = self.slots.iter().position(|&(lpn, _)| lpn == FREE) else {
+            return;
+        };
+        for k in 1..n {
+            let i = (start + k) & (n - 1);
+            let (lpn, until) = self.slots[i];
+            if lpn == FREE {
+                continue;
+            }
+            self.slots[i] = (FREE, 0);
+            if keep(until) {
+                let j = self.find(lpn);
+                self.slots[j] = (lpn, until);
+            } else {
+                self.len -= 1;
+            }
+        }
     }
 }
 
@@ -231,8 +346,8 @@ mod tests {
             SimTime::from_micros(300)
         );
 
-        // Releases retired out of order and spread over more than 4.2 ms,
-        // a timing wheel's near horizon.
+        // Releases retired out of order and spread over tens of
+        // milliseconds.
         let ms = |n: u64| SimTime::from_micros(n * 1_000);
         let mut b = WriteBuffer::new(3);
         for (lpn, end) in [(0, 20), (1, 5), (2, 12)] {
@@ -263,6 +378,116 @@ mod tests {
         assert!(b.holds(42, SimTime::from_micros(99)));
         assert!(!b.holds(42, SimTime::from_micros(100)));
         assert!(!b.holds(7, SimTime::ZERO));
+    }
+
+    /// The buffer as it was with a `BTreeMap` resident set: the
+    /// reference the open-addressing index must answer exactly like.
+    struct ModelBuffer {
+        capacity: usize,
+        releases: BinaryHeap<Reverse<u64>>,
+        resident: std::collections::BTreeMap<u64, u64>,
+        admitted: u64,
+    }
+
+    impl ModelBuffer {
+        fn new(capacity: u32) -> Self {
+            ModelBuffer {
+                capacity: capacity as usize,
+                releases: BinaryHeap::new(),
+                resident: std::collections::BTreeMap::new(),
+                admitted: 0,
+            }
+        }
+
+        fn admit(&mut self, at: SimTime, lpn: u64) -> SimTime {
+            self.admitted += 1;
+            let admitted_at = if self.releases.len() < self.capacity {
+                at
+            } else if let Some(Reverse(earliest)) = self.releases.pop() {
+                at.max(SimTime::from_nanos(earliest))
+            } else {
+                at
+            };
+            self.resident.insert(lpn, u64::MAX);
+            if self.admitted.is_multiple_of(4096) {
+                let now = admitted_at.as_nanos();
+                self.resident
+                    .retain(|_, &mut until| until == u64::MAX || until > now);
+            }
+            admitted_at
+        }
+
+        fn retire(&mut self, lpn: u64, program_end: SimTime) {
+            self.releases.push(Reverse(program_end.as_nanos()));
+            self.resident.insert(lpn, program_end.as_nanos());
+        }
+
+        fn holds(&self, lpn: u64, at: SimTime) -> bool {
+            self.resident
+                .get(&lpn)
+                .is_some_and(|&until| at.as_nanos() < until)
+        }
+    }
+
+    /// Seeded random admits, retires and reads over a small lpn space
+    /// answer exactly as the `BTreeMap` model does, across several
+    /// 4,096-admit sweeps (probed with reads issued before each sweep's
+    /// `admitted_at`) and through growth of the table.
+    #[test]
+    fn resident_index_matches_the_btreemap_model() {
+        let us = |n: u64| SimTime::from_nanos(n * 1_000);
+        for (seed, capacity, lpns) in [(1u64, 4u32, 48u64), (2, 64, 1024), (3, 1, 8), (4, 16, 40)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut b = WriteBuffer::new(capacity);
+            let mut m = ModelBuffer::new(capacity);
+            let initial_slots = b.resident.slots.len();
+            let mut unretired: Vec<u64> = Vec::new();
+            let mut now = 0u64;
+            let mut sweeps = 0;
+            for step in 0..40_000 {
+                now += rng.below(3);
+                match rng.below(10) {
+                    0..=3 => {
+                        let lpn = rng.below(lpns);
+                        let at = us(now);
+                        let got = b.admit(at, lpn);
+                        assert_eq!(got, m.admit(at, lpn), "seed {seed} step {step}");
+                        unretired.push(lpn);
+                        if m.admitted.is_multiple_of(4096) {
+                            // Reads before, at and after this sweep's instant.
+                            sweeps += 1;
+                            for back in [0, 1, 50, 400] {
+                                let t = SimTime::from_nanos(
+                                    got.as_nanos().saturating_sub(back * 1_000),
+                                );
+                                for lpn in 0..lpns {
+                                    assert_eq!(b.holds(lpn, t), m.holds(lpn, t), "seed {seed}");
+                                }
+                            }
+                        }
+                    }
+                    4..=6 if !unretired.is_empty() => {
+                        let k = rng.below(unretired.len() as u64) as usize;
+                        let lpn = unretired.swap_remove(k);
+                        let end = us(now + rng.below(400));
+                        b.retire(lpn, end);
+                        m.retire(lpn, end);
+                    }
+                    _ => {
+                        let lpn = rng.below(lpns);
+                        let t = us(now.saturating_sub(rng.below(300)) + rng.below(100));
+                        assert_eq!(b.holds(lpn, t), m.holds(lpn, t), "seed {seed} step {step}");
+                    }
+                }
+                assert_eq!(b.resident.len, m.resident.len(), "seed {seed} step {step}");
+                assert_eq!(b.in_flight(), m.releases.len());
+            }
+            assert!(sweeps >= 3, "seed {seed}: only {sweeps} sweeps");
+            assert!(
+                b.resident.slots.len() > initial_slots,
+                "seed {seed}: the table never grew"
+            );
+        }
     }
 
     #[test]

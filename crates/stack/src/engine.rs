@@ -5,7 +5,7 @@
 //! runner, trace replay, and any future open-loop engine) open-coded
 //! the same three steps around [`Host::submit_async`]: stash the
 //! `(token, op, device-completion)` tuple in a slab, schedule the slab
-//! slot on a private wheel at the device completion instant, and on pop
+//! slot on a private event queue at the device completion instant, and on pop
 //! retrieve the tuple and call [`Host::finish_async`]. [`AsyncPort`]
 //! owns that bookkeeping once, at the layer that defines the submit/
 //! finish contract, leaving the engines themselves as pure

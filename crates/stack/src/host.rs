@@ -301,6 +301,13 @@ impl Host {
         self.horizon
     }
 
+    /// Driver tags not held by an in-flight request. A request takes
+    /// one tag per [`MAX_TRANSFER`](Self::MAX_TRANSFER) part, and its
+    /// submission panics if they are not free.
+    pub fn free_tags(&self) -> u16 {
+        self.tags.total() - self.tags.in_flight()
+    }
+
     fn charge(&mut self, mode: Mode, f: StackFn, seg: Segment) {
         self.cpu.charge(mode, f, seg.busy);
         self.cpu.mem(f, seg.loads, seg.stores);

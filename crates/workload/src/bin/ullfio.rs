@@ -176,7 +176,13 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let r = replay(&mut host, &ops);
+        let r = match replay(&mut host, &ops) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("ullfio: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!(
             "trace replay on {device_name} ({}): {} records in {}, mean={} p99={} slipped={}",
             args.path.label(),

@@ -9,7 +9,13 @@
 //! 0,R,4096,4096
 //! 12.5,W,1048576,8192
 //! ```
+//!
+//! Times are finite, non-negative microseconds; offsets and lengths are
+//! bytes, multiples of the 512-byte LBA. [`replay`] also checks each
+//! record against the host it runs on, so a trace that does not fit
+//! the device is an error naming its line, never a panic.
 
+use ull_nvme::LBA_BYTES;
 use ull_simkit::{Component, Engine, Histogram, Scheduler, SimDuration, SimTime, SlotId};
 use ull_stack::{AsyncPort, Host, IoOp};
 
@@ -24,6 +30,8 @@ pub struct TraceOp {
     pub offset: u64,
     /// Length in bytes.
     pub len: u32,
+    /// 1-based line of the trace text the record came from.
+    pub line: usize,
 }
 
 /// Error parsing a trace line.
@@ -43,11 +51,19 @@ impl core::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
+/// Latest accepted record time: 10^12 µs (about 11.6 days), far
+/// below where an instant plus any simulated latency would overflow
+/// the nanosecond clock.
+const MAX_TIME_US: f64 = 1e12;
+
 /// Parses the CSV trace format.
 ///
 /// # Errors
 ///
-/// Returns the first malformed line.
+/// Returns the first malformed line: a wrong field count, an unknown
+/// op, a time that is not a finite number in `[0, 10^12]` µs, or an
+/// offset or length that is not a multiple of 512 (a zero length
+/// included).
 ///
 /// # Examples
 ///
@@ -76,8 +92,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
         }
         let at_us: f64 = fields[0]
             .parse()
+            .ok()
+            .filter(|t: &f64| (0.0..=MAX_TIME_US).contains(t))
             // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
-            .map_err(|_| err(format!("bad time {:?}", fields[0])))?;
+            .ok_or_else(|| err(format!("bad time {:?}", fields[0])))?;
         let op = match fields[1] {
             "R" | "r" => IoOp::Read,
             "W" | "w" => IoOp::Write,
@@ -95,11 +113,18 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
         if len == 0 {
             return Err(err("zero-length record".into()));
         }
+        if !offset.is_multiple_of(u64::from(LBA_BYTES)) || !len.is_multiple_of(LBA_BYTES) {
+            return Err(err(
+                // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
+                format!("offset {offset} and len {len} must be multiples of {LBA_BYTES}"),
+            ));
+        }
         ops.push(TraceOp {
             at: SimDuration::from_micros_f64(at_us),
             op,
             offset,
             len,
+            line: i + 1,
         });
     }
     Ok(ops)
@@ -126,8 +151,9 @@ impl TraceReport {
     }
 }
 
-/// Bound in-flight records so driver tags can never exhaust even for
-/// pathological all-at-once traces.
+/// Bound on in-flight records for pathological all-at-once traces.
+/// Driver tags are a separate bound: a record's split parts each take
+/// one, so the replay also parks while they do not fit the free tags.
 const MAX_IN_FLIGHT: usize = 512;
 
 /// Same-instant tie-break keys: when a submit opportunity and a pending
@@ -150,8 +176,9 @@ enum Ev {
 ///
 /// Invariant: at most one `Submit` event is pending at any time — it is
 /// rescheduled when stale (the thread's `free_at` moved past it) and
-/// parked (`stalled`) when the in-flight window is full, to be revived
-/// by the next completion.
+/// parked (`stalled`) when the in-flight window is full or the record's
+/// parts exceed the free driver tags, to be revived by the next
+/// completion.
 struct Replay<'a> {
     host: &'a mut Host,
     ops: &'a [TraceOp],
@@ -190,8 +217,12 @@ impl Component for Replay<'_> {
                     sched.at_keyed(at, KEY_SUBMIT, Ev::Submit);
                     return;
                 }
-                if self.port.len() >= MAX_IN_FLIGHT {
-                    // Window full: park until a completion frees a tag.
+                let parts = o.len.div_ceil(Host::MAX_TRANSFER);
+                if self.port.len() >= MAX_IN_FLIGHT || parts > u32::from(self.host.free_tags()) {
+                    // Window or tags full: park until a completion
+                    // frees a slot and its tags. `replay` rejected any
+                    // record longer than all tags, so with nothing in
+                    // flight every record fits.
                     self.stalled = true;
                     return;
                 }
@@ -223,10 +254,32 @@ impl Component for Replay<'_> {
 /// Replays `ops` open-loop: each record is submitted at its trace time (or
 /// as soon as the submitting thread is free, counting a *slip*).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any record exceeds the device capacity.
-pub fn replay(host: &mut Host, ops: &[TraceOp]) -> TraceReport {
+/// Before anything runs, returns the first record that ends past the
+/// device's capacity or is longer than all driver tags can carry
+/// ([`Host::TAGS`] × [`Host::MAX_TRANSFER`]), with its line.
+pub fn replay(host: &mut Host, ops: &[TraceOp]) -> Result<TraceReport, ParseTraceError> {
+    let capacity = host.controller().ssd().capacity_bytes();
+    let max_len = u64::from(Host::TAGS) * u64::from(Host::MAX_TRANSFER);
+    for o in ops {
+        let message = if o.offset.saturating_add(u64::from(o.len)) > capacity {
+            // simlint: allow(S010): validation-error path — runs at most once per replay, never per I/O
+            format!("record ends past the device's {capacity}-byte capacity")
+        } else if u64::from(o.len) > max_len {
+            // simlint: allow(S010): validation-error path — runs at most once per replay, never per I/O
+            format!(
+                "len {} exceeds the {max_len} bytes all driver tags can carry",
+                o.len
+            )
+        } else {
+            continue;
+        };
+        return Err(ParseTraceError {
+            line: o.line,
+            message,
+        });
+    }
     let mut engine: Engine<Ev> = Engine::new();
     let mut comp = Replay {
         host,
@@ -245,12 +298,12 @@ pub fn replay(host: &mut Host, ops: &[TraceOp]) -> TraceReport {
     // the current instant, and it must interleave with already-pending
     // same-instant completions by key — batch draining would reorder.
     engine.run_stepped(&mut comp);
-    TraceReport {
+    Ok(TraceReport {
         completed: comp.completed,
         latency: comp.latency,
         elapsed: comp.end.saturating_since(SimTime::ZERO),
         slipped: comp.slipped,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -289,6 +342,49 @@ mod tests {
             .unwrap_err()
             .message
             .contains("zero-length"));
+        for t in ["-5", "NaN", "inf", "-inf", "1e13"] {
+            let e = parse_trace(&format!("0,R,0,4096\n{t},R,0,4096")).unwrap_err();
+            assert_eq!(e.line, 2, "{t}");
+            assert!(e.message.contains("bad time"), "{t}: {}", e.message);
+        }
+        for rec in ["0,R,4095,4096", "0,R,0,3000", "0,W,100,512"] {
+            let e = parse_trace(rec).unwrap_err();
+            assert!(
+                e.message.contains("multiples of 512"),
+                "{rec}: {}",
+                e.message
+            );
+        }
+        assert!(parse_trace("0,R,512,1024").is_ok(), "sector-aligned");
+    }
+
+    #[test]
+    fn replay_rejects_records_the_host_cannot_carry() {
+        let mut h = host();
+        let cap = h.controller().ssd().capacity_bytes();
+        let past_end = format!("0,R,0,4096\n# c\n0,R,{},4096\n", cap - 2048);
+        let e = replay(&mut h, &parse_trace(&past_end).unwrap()).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("capacity"), "{}", e.message);
+        let too_long = parse_trace("0,W,0,1073741824").unwrap();
+        let e = replay(&mut h, &too_long).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("driver tags"), "{}", e.message);
+        assert_eq!(h.in_flight(), 0, "nothing ran");
+    }
+
+    #[test]
+    fn records_park_until_their_tags_are_free() {
+        // 600 records of 512 KB (4 tags each) issued at once want 2,400
+        // tags; the replay parks on the 1,024 driver tags instead of
+        // exhausting them.
+        let text: String = (0..600u64)
+            .map(|i| format!("0,W,{},524288\n", i * 524_288))
+            .collect();
+        let mut h = host();
+        let r = replay(&mut h, &parse_trace(&text).unwrap()).unwrap();
+        assert_eq!(r.completed, 600);
+        assert_eq!(h.in_flight(), 0);
     }
 
     #[test]
@@ -304,7 +400,7 @@ mod tests {
         }
         let ops = parse_trace(&text).unwrap();
         let mut h = host();
-        let r = replay(&mut h, &ops);
+        let r = replay(&mut h, &ops).unwrap();
         assert_eq!(r.completed, 500);
         assert!(r.mean_latency().as_micros_f64() > 5.0);
         assert!(r.elapsed >= SimDuration::from_micros(499 * 20));
@@ -318,7 +414,7 @@ mod tests {
             .collect();
         let ops = parse_trace(&text).unwrap();
         let mut h = host();
-        let r = replay(&mut h, &ops);
+        let r = replay(&mut h, &ops).unwrap();
         assert_eq!(r.completed, 200);
         assert!(r.slipped > 0, "burst must slip the open loop");
     }

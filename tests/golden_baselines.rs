@@ -3,7 +3,7 @@
 //!
 //! CI already diffs `reproduce --json` output against the committed
 //! baselines; these tests make the same guarantee enforceable offline via
-//! plain `cargo test`, so a hot-path change (the timing wheel, the slab
+//! plain `cargo test`, so a hot-path change (the event queue, the slab
 //! request path, report-assembly refactors) that perturbs even one byte
 //! of a deterministic artifact fails tier-1 *before* a PR reaches CI.
 //!

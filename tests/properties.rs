@@ -7,6 +7,9 @@
 //! same cases. Each property walks a fixed set of seeds and generates the
 //! same shapes the proptest strategies did.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ull_ssd_study::faults::{FaultPlan, FaultReport};
 use ull_ssd_study::netblock::{NbdServerKind, NbdSystem};
 use ull_ssd_study::nvme::{CompletionQueue, NvmeCommand, SubmissionQueue};
@@ -136,39 +139,181 @@ fn event_queue_fifo_survives_interleaving() {
     }
 }
 
-/// The timing wheel is a drop-in replacement for the heap: under random
-/// interleavings of schedule and pop — with a delta distribution that
-/// exercises same-slot bursts, cross-slot ordering, *and* far-future
-/// overflow promotion — the wheel pops exactly the (time, payload)
-/// sequence the retained `EventQueue` reference does.
+/// The event queue pops exactly what a sorted-`Vec` reference ranked
+/// `(at, key, seq)` pops, where `seq` counts every schedule and an
+/// unkeyed schedule's key is its `seq`. Seeded random interleavings mix
+/// keyed and unkeyed schedules (keys drawn from the range the seqs
+/// occupy, so the two kinds tie and interleave), same-instant bursts,
+/// schedules behind the last popped instant, and far-future ones; the
+/// pops cover `pop`, `peek`, `pop_if_before` at bounds on either side of
+/// the head, and `pop_same_instant_until` at, below and above it.
+#[test]
+fn event_queue_matches_sorted_reference() {
+    /// Pops the reference's minimum `(at, key, seq)` entry.
+    fn pop_min(model: &mut Vec<(u64, u64, u64, u64)>) -> Option<(u64, u64, u64, u64)> {
+        let i = (0..model.len()).min_by_key(|&i| {
+            let (at, key, seq, _) = model[i];
+            (at, key, seq)
+        })?;
+        Some(model.remove(i))
+    }
+    /// Schedules on both sides; `seq` counts every schedule.
+    fn schedule(
+        q: &mut EventQueue<u64>,
+        model: &mut Vec<(u64, u64, u64, u64)>,
+        seq: &mut u64,
+        at: u64,
+        key: Option<u64>,
+    ) {
+        let payload = seq.wrapping_mul(0x9E37_79B9);
+        match key {
+            Some(k) => q.schedule_keyed(SimTime::from_nanos(at), k, payload),
+            None => q.schedule(SimTime::from_nanos(at), payload),
+        }
+        model.push((at, key.unwrap_or(*seq), *seq, payload));
+        *seq += 1;
+    }
+    for seed in SEEDS {
+        let mut rng = SplitMix64::new(seed ^ 0x3EE1);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: Vec<(u64, u64, u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for step in 0..3_000 {
+            let op = rng.below(100);
+            if model.is_empty() || op < 45 {
+                let at = match rng.below(10) {
+                    0 | 1 => now,                                  // same instant
+                    2 => now.saturating_sub(1 + rng.below(5_000)), // behind the last pop
+                    3 => now + 1_000_000 + rng.below(500_000_000), // far future
+                    _ => now + rng.below(30_000),                  // near
+                };
+                let key = rng.chance(0.4).then(|| rng.below(seq + 16));
+                schedule(&mut q, &mut model, &mut seq, at, key);
+            } else if op < 50 {
+                // A same-instant burst, keyed and unkeyed mixed.
+                let at = now + rng.below(3) * 1_000;
+                for _ in 0..2 + rng.below(12) {
+                    let key = rng.chance(0.5).then(|| rng.below(seq + 16));
+                    schedule(&mut q, &mut model, &mut seq, at, key);
+                }
+            } else if op < 75 {
+                let head = model.iter().map(|&(at, key, s, _)| (at, key, s)).min();
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_nanos),
+                    head.map(|h| h.0),
+                    "seed {seed} step {step}"
+                );
+                let want = pop_min(&mut model).map(|(at, _, _, p)| (SimTime::from_nanos(at), p));
+                assert_eq!(
+                    q.peek().map(|(t, &p)| (t, p)),
+                    want,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(q.pop(), want, "seed {seed} step {step}");
+                if let Some((t, _)) = want {
+                    now = t.as_nanos();
+                }
+            } else if op < 85 {
+                // pop_if_before at, just above or just below the head.
+                let head = model.iter().map(|e| e.0).min().unwrap_or(0);
+                let t = match rng.below(3) {
+                    0 => head,
+                    1 => head + 1,
+                    _ => head.saturating_sub(1),
+                };
+                let want = if head < t {
+                    pop_min(&mut model).map(|(at, _, _, p)| (SimTime::from_nanos(at), p))
+                } else {
+                    None
+                };
+                assert_eq!(
+                    q.pop_if_before(SimTime::from_nanos(t)),
+                    want,
+                    "seed {seed} step {step}"
+                );
+                if let Some((t, _)) = want {
+                    now = t.as_nanos();
+                }
+            } else {
+                // pop_same_instant_until at, above or below the head,
+                // or unbounded (pop_same_instant).
+                let head = model.iter().map(|e| e.0).min().unwrap_or(0);
+                let bound = match rng.below(4) {
+                    0 => Some(head),
+                    1 => Some(head + 1 + rng.below(1_000)),
+                    2 => Some(head.saturating_sub(1)),
+                    _ => None,
+                };
+                let due = !model.is_empty() && bound.is_none_or(|b| head <= b);
+                let mut want = Vec::new();
+                if due {
+                    while model.iter().any(|e| e.0 == head) {
+                        want.extend(pop_min(&mut model).map(|e| e.3));
+                    }
+                }
+                let mut got = Vec::new();
+                let t = match bound {
+                    Some(b) => q.pop_same_instant_until(SimTime::from_nanos(b), &mut got),
+                    None => q.pop_same_instant(&mut got),
+                };
+                assert_eq!(
+                    t,
+                    due.then_some(SimTime::from_nanos(head)),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(got, want, "seed {seed} step {step}");
+                if due {
+                    now = head;
+                }
+            }
+            assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
+        }
+        // Drain both to the end: the tails agree too.
+        while let Some((at, _, _, p)) = pop_min(&mut model) {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(at), p)), "seed {seed}");
+        }
+        assert!(q.is_empty() && q.pop().is_none(), "seed {seed}");
+    }
+}
+
+// The `timing_wheel_*` tests below drive `TimingWheel`, the hidden alias
+// of `EventQueue` that the host-time benchmark (perfbench/) still builds
+// its closed-loop kernels on. They pin the contract that benchmark
+// relies on, each against a reference that shares no code with the
+// queue, and go when the alias goes (ROADMAP Housekeeping).
+
+/// Under random interleavings of schedule and pop — with a delta
+/// distribution that mixes same-instant bursts, near schedules and
+/// far-future ones — the `TimingWheel` alias pops exactly the
+/// `(time, payload)` sequence a std `BinaryHeap` ranked
+/// `(time, insertion id)` does.
 #[test]
 fn timing_wheel_matches_heap_reference() {
     for seed in SEEDS {
         let mut rng = SplitMix64::new(seed ^ 0x3EE1);
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut heap: EventQueue<u64> = EventQueue::new();
+        let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut now = SimTime::ZERO;
         let mut next_id = 0u64;
         for _ in 0..2_000 {
             if heap.is_empty() || rng.chance(0.55) {
-                // Mixed horizon: mostly near (same or adjacent slots),
-                // sometimes zero (same-instant FIFO burst), occasionally
-                // far enough to land in the wheel's overflow level.
                 let delta = if rng.chance(0.15) {
-                    0
+                    0 // same-instant FIFO burst
                 } else if rng.chance(0.1) {
-                    1_000_000 + rng.below(500_000_000) // far: overflow level
+                    1_000_000 + rng.below(500_000_000) // far future
                 } else {
-                    rng.below(30_000) // near: wheel slots
+                    rng.below(30_000) // near
                 };
                 let at = now + SimDuration::from_nanos(delta);
                 wheel.schedule(at, next_id);
-                heap.schedule(at, next_id);
+                heap.push(Reverse((at, next_id)));
                 next_id += 1;
             } else {
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+                let head = heap.peek().map(|&Reverse((t, _))| t);
+                assert_eq!(wheel.peek_time(), head, "seed {seed}");
                 let w = wheel.pop();
-                let h = heap.pop();
+                let h = heap.pop().map(|Reverse(e)| e);
                 assert_eq!(w, h, "seed {seed}: wheel diverged from heap");
                 // Popping advances simulated time, so later schedules are
                 // relative to the new now — the engine-loop access pattern.
@@ -180,7 +325,7 @@ fn timing_wheel_matches_heap_reference() {
         }
         // Drain both to the end: the tails agree too.
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
+            let (w, h) = (wheel.pop(), heap.pop().map(|Reverse(e)| e));
             assert_eq!(w, h, "seed {seed}: tails diverged");
             if w.is_none() {
                 break;
@@ -189,10 +334,9 @@ fn timing_wheel_matches_heap_reference() {
     }
 }
 
-/// Same-instant bursts pop FIFO on the wheel, exactly like the heap:
-/// the sequence counter is global to the wheel's lifetime, so events
-/// scheduled for one instant across pop boundaries still come out in
-/// insertion order.
+/// Same-instant bursts pop FIFO: the sequence counter is global to the
+/// queue's lifetime, so events scheduled for one instant across pop
+/// boundaries still come out in insertion order.
 #[test]
 fn timing_wheel_same_instant_fifo_bursts() {
     for seed in SEEDS {
@@ -216,9 +360,11 @@ fn timing_wheel_same_instant_fifo_bursts() {
     }
 }
 
-/// Far-future events survive overflow promotion with their order intact:
-/// schedule a cluster far beyond the wheel horizon, chew through nearer
-/// work, and the far cluster still pops in (time, insertion) order.
+/// Far-future events keep their order behind nearer work: schedule a
+/// cluster (with duplicate times) about a second out, interleave 300
+/// nearer events, and everything pops in (time, insertion) order. The
+/// name is the wheel's, whose far heap promoted such clusters; the
+/// ordering it checked is what perfbench's kernels still rely on.
 #[test]
 fn timing_wheel_far_future_promotion_preserves_order() {
     for seed in SEEDS {
@@ -231,7 +377,7 @@ fn timing_wheel_far_future_promotion_preserves_order() {
             wheel.schedule(SimTime::from_nanos(t), id);
             expect.push((t, id));
         }
-        // Near work that forces the wheel to rotate toward the horizon.
+        // Nearer work scheduled after the far cluster.
         for id in 100..400u64 {
             let t = rng.below(900_000_000);
             wheel.schedule(SimTime::from_nanos(t), id);
@@ -246,37 +392,39 @@ fn timing_wheel_far_future_promotion_preserves_order() {
     }
 }
 
-/// `pop_if_before` and `pop_same_instant` agree with the plain pop-loop
-/// semantics the engine loops rely on: `pop_if_before(t)` yields exactly
-/// the events strictly before `t`, and `pop_same_instant` drains exactly
-/// one instant's FIFO batch.
+/// `pop_if_before` and `pop_same_instant` agree with the plain pop order
+/// the engine loops rely on: `pop_if_before(t)` yields exactly the events
+/// strictly before `t`, and `pop_same_instant` drains exactly one
+/// instant's FIFO batch. The reference is the sorted `(time, id)` list.
 #[test]
 fn timing_wheel_conditional_pops_match_reference() {
     for seed in SEEDS {
         let mut rng = SplitMix64::new(seed ^ 0xC0DE);
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut reference: EventQueue<u64> = EventQueue::new();
+        let mut expect: Vec<(SimTime, u64)> = Vec::new();
         for id in 0..300u64 {
             let t = SimTime::from_nanos(rng.below(64)); // dense ties
             wheel.schedule(t, id);
-            reference.schedule(t, id);
+            expect.push((t, id));
         }
+        expect.sort(); // (time, id); id order == insertion order
+        let mut reference = expect.into_iter();
         let cutoff = SimTime::from_nanos(32);
         // Drain [0, cutoff) via pop_if_before.
         while let Some((t, id)) = wheel.pop_if_before(cutoff) {
             assert!(t < cutoff, "seed {seed}: popped event at/after cutoff");
-            assert_eq!(Some((t, id)), reference.pop(), "seed {seed}");
+            assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
         }
         assert!(wheel.peek_time().is_none_or(|t| t >= cutoff));
         // Drain the rest one instant at a time via pop_same_instant.
         let mut batch = Vec::new();
         while let Some(t) = wheel.pop_same_instant(&mut batch) {
             for &id in &batch {
-                assert_eq!(Some((t, id)), reference.pop(), "seed {seed}");
+                assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
             }
             batch.clear();
         }
-        assert!(reference.pop().is_none(), "seed {seed}: wheel lost events");
+        assert!(reference.next().is_none(), "seed {seed}: wheel lost events");
     }
 }
 
