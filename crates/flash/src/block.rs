@@ -1,8 +1,12 @@
-//! Erase-block bookkeeping: valid-page bitmaps, wear, and bad-block state.
+//! Erase-block bookkeeping: per-page out-of-band tags, wear, and bad-block
+//! state.
 //!
 //! The FTL in `ull-ssd` owns a [`BlockState`] per physical block; garbage
-//! collection uses the valid counts to pick victims and the erase counter to
+//! collection uses the valid counts to pick victims, the tags to find
+//! which logical unit each surviving page holds, and the erase counter to
 //! level wear.
+
+use std::num::NonZeroU32;
 
 /// Lifecycle of an erase block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,32 +19,50 @@ pub enum BlockPhase {
     Full,
 }
 
-/// Valid-page bitmap and wear state for one erase block.
+/// Out-of-band tags and wear state for one erase block.
+///
+/// Each page carries one `u32` tag, as firmware stores the logical page
+/// number in a page's spare area for GC to read back: the FTL writes
+/// `lpn + 1`, and 0 means unwritten or invalid. The tags are the block's
+/// validity and its slice of the reverse map in one array, allocated on
+/// the block's first program.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::num::NonZeroU32;
 /// use ull_flash::{BlockPhase, BlockState};
 ///
 /// let mut b = BlockState::new(4);
-/// let p0 = b.append().unwrap();
-/// let p1 = b.append().unwrap();
+/// assert_eq!(b.tag_bytes(), 0, "no tag memory before the first program");
+/// let p0 = b.append(NonZeroU32::new(8).unwrap()).unwrap();
+/// let p1 = b.append(NonZeroU32::new(9).unwrap()).unwrap();
 /// assert_eq!((p0, p1), (0, 1));
+/// assert_eq!(b.tag(p1).map(NonZeroU32::get), Some(9));
 /// assert_eq!(b.valid_count(), 2);
 /// b.invalidate(p0);
-/// assert_eq!(b.valid_count(), 1);
+/// assert_eq!((b.valid_count(), b.tag(p0)), (1, None));
 /// b.erase();
 /// assert_eq!(b.phase(), BlockPhase::Free);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockState {
-    valid: Vec<u64>,
+    /// One tag per page, empty until the first program.
+    tags: Vec<u32>,
     pages: u32,
     next_page: u32,
     valid_count: u32,
     erase_count: u32,
     program_fails: u32,
     bad: bool,
+}
+
+/// `n` zero tags, every one written here. A zeroed allocation would be
+/// resident only where touched or in full depending on what the process
+/// allocated before, so the fill value is kept opaque to the optimizer,
+/// which would otherwise turn it back into one.
+fn unwritten_tags(n: u32) -> Vec<u32> {
+    std::iter::repeat_n(std::hint::black_box(0), n as usize).collect()
 }
 
 impl BlockState {
@@ -52,7 +74,7 @@ impl BlockState {
     pub fn new(pages: u32) -> Self {
         assert!(pages > 0, "a block needs at least one page");
         BlockState {
-            valid: vec![0; pages.div_ceil(64) as usize],
+            tags: Vec::new(),
             pages,
             next_page: 0,
             valid_count: 0,
@@ -78,45 +100,56 @@ impl BlockState {
         }
     }
 
-    /// Appends a page program, returning the page index written, or `None`
-    /// if the block is full or bad. The page becomes valid.
-    pub fn append(&mut self) -> Option<u32> {
+    /// Programs the next page with `tag`, returning the page index
+    /// written, or `None` if the block is full or bad. The page becomes
+    /// valid. The first program allocates the block's tags.
+    pub fn append(&mut self, tag: NonZeroU32) -> Option<u32> {
         if self.bad || self.next_page >= self.pages {
             return None;
         }
+        if self.tags.is_empty() {
+            self.tags = unwritten_tags(self.pages);
+        }
         let p = self.next_page;
+        self.tags[p as usize] = tag.get();
         self.next_page += 1;
-        self.valid[(p / 64) as usize] |= 1 << (p % 64);
         self.valid_count += 1;
         Some(p)
     }
 
     /// Marks a previously written page invalid (its data was overwritten or
-    /// trimmed elsewhere). Idempotent.
+    /// trimmed elsewhere) by zeroing its tag. Idempotent.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the page was never written.
     pub fn invalidate(&mut self, page: u32) {
         debug_assert!(page < self.next_page, "invalidating an unwritten page");
-        let (w, b) = ((page / 64) as usize, page % 64);
-        if self.valid[w] & (1 << b) != 0 {
-            self.valid[w] &= !(1 << b);
+        if let Some(t) = self.tags.get_mut(page as usize).filter(|t| **t != 0) {
+            *t = 0;
             self.valid_count -= 1;
         }
     }
 
-    /// Whether a page currently holds valid data.
-    pub fn is_valid(&self, page: u32) -> bool {
-        if page >= self.pages {
-            return false;
-        }
-        self.valid[(page / 64) as usize] & (1 << (page % 64)) != 0
+    /// The tag a valid page was programmed with; `None` if the page is
+    /// unwritten or invalid.
+    pub fn tag(&self, page: u32) -> Option<NonZeroU32> {
+        NonZeroU32::new(self.tags.get(page as usize).copied().unwrap_or(0))
     }
 
-    /// Iterates over the indexes of the valid pages.
-    pub fn valid_pages(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.next_page).filter(|&p| self.is_valid(p))
+    /// The first valid page at or after `from`, with its tag: where GC
+    /// resumes scanning a victim.
+    pub fn next_valid(&self, from: u32) -> Option<(u32, NonZeroU32)> {
+        let rest = self.tags.get(from as usize..)?;
+        rest.iter()
+            .zip(from..)
+            .find_map(|(&t, page)| Some((page, NonZeroU32::new(t)?)))
+    }
+
+    /// Bytes of tag memory the block holds: none until its first
+    /// program, one `u32` per page after.
+    pub fn tag_bytes(&self) -> u64 {
+        (self.tags.len() * size_of::<u32>()) as u64
     }
 
     /// Number of valid pages (GC migration cost).
@@ -138,9 +171,9 @@ impl BlockState {
         self.next_page - self.valid_count
     }
 
-    /// Erases the block, clearing all page state and bumping wear.
+    /// Erases the block, zeroing every tag in place and bumping wear.
     pub fn erase(&mut self) {
-        self.valid.iter_mut().for_each(|w| *w = 0);
+        self.tags.fill(0);
         self.next_page = 0;
         self.valid_count = 0;
         self.erase_count += 1;
@@ -179,44 +212,76 @@ impl BlockState {
 mod tests {
     use super::*;
 
+    /// The tag the FTL writes for `lpn`.
+    fn tag(lpn: u32) -> NonZeroU32 {
+        NonZeroU32::new(lpn + 1).unwrap()
+    }
+
     #[test]
     fn append_fills_sequentially() {
         let mut b = BlockState::new(3);
         assert_eq!(b.phase(), BlockPhase::Free);
-        assert_eq!(b.append(), Some(0));
+        assert_eq!(b.append(tag(0)), Some(0));
         assert_eq!(b.phase(), BlockPhase::Open);
-        assert_eq!(b.append(), Some(1));
-        assert_eq!(b.append(), Some(2));
+        assert_eq!(b.append(tag(1)), Some(1));
+        assert_eq!(b.append(tag(2)), Some(2));
         assert_eq!(b.phase(), BlockPhase::Full);
-        assert_eq!(b.append(), None);
+        assert_eq!(b.append(tag(3)), None);
         assert_eq!(b.valid_count(), 3);
         assert_eq!(b.free_pages(), 0);
     }
 
     #[test]
+    fn a_program_writes_its_tag() {
+        let mut b = BlockState::new(8);
+        let p = b.append(tag(41)).unwrap();
+        assert_eq!(b.tag(p), Some(tag(41)));
+        assert_eq!(b.tag(p + 1), None, "unwritten pages carry no tag");
+        assert_eq!(b.tag(8), None, "pages past the block carry no tag");
+    }
+
+    #[test]
     fn invalidate_is_idempotent() {
         let mut b = BlockState::new(8);
-        b.append();
-        b.append();
+        b.append(tag(5));
+        b.append(tag(6));
         b.invalidate(0);
         b.invalidate(0);
         assert_eq!(b.valid_count(), 1);
         assert_eq!(b.invalid_count(), 1);
-        assert!(!b.is_valid(0));
-        assert!(b.is_valid(1));
+        assert_eq!(b.tag(0), None);
+        assert_eq!(b.tag(1), Some(tag(6)));
+        assert_eq!(b.next_valid(0), Some((1, tag(6))), "GC skips the hole");
+        assert_eq!(b.next_valid(2), None);
     }
 
     #[test]
     fn erase_resets_and_counts_wear() {
         let mut b = BlockState::new(8);
-        for _ in 0..8 {
-            b.append();
+        for lpn in 0..8 {
+            b.append(tag(lpn));
         }
         b.erase();
         assert_eq!(b.phase(), BlockPhase::Free);
         assert_eq!(b.valid_count(), 0);
         assert_eq!(b.erase_count(), 1);
-        assert_eq!(b.append(), Some(0));
+        assert!((0..8).all(|p| b.tag(p).is_none()));
+        assert_eq!(b.tag_bytes(), 32, "erase keeps the tag array");
+        assert_eq!(b.append(tag(9)), Some(0));
+        assert_eq!(b.tag(0), Some(tag(9)));
+    }
+
+    #[test]
+    fn a_block_never_programmed_holds_no_tag_memory() {
+        let mut b = BlockState::new(96);
+        assert_eq!(b.tag_bytes(), 0);
+        b.erase();
+        b.mark_bad();
+        assert_eq!(b.append(tag(0)), None);
+        assert_eq!(b.tag_bytes(), 0, "a refused program allocates nothing");
+        let mut b = BlockState::new(96);
+        b.append(tag(0));
+        assert_eq!(b.tag_bytes(), 96 * 4);
     }
 
     #[test]
@@ -224,7 +289,7 @@ mod tests {
         let mut b = BlockState::new(8);
         b.mark_bad();
         assert!(b.is_bad());
-        assert_eq!(b.append(), None);
+        assert_eq!(b.append(tag(0)), None);
         assert_eq!(b.free_pages(), 0);
     }
 
@@ -240,17 +305,20 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_works_across_word_boundaries() {
+    fn tags_stay_exact_when_pages_are_not_a_multiple_of_64() {
         let mut b = BlockState::new(130);
-        for _ in 0..130 {
-            b.append();
+        for lpn in 0..130 {
+            b.append(tag(1000 + lpn));
         }
         b.invalidate(63);
         b.invalidate(64);
         b.invalidate(129);
         assert_eq!(b.valid_count(), 127);
-        let invalid: Vec<u32> = (0..130).filter(|&p| !b.is_valid(p)).collect();
+        let invalid: Vec<u32> = (0..130).filter(|&p| b.tag(p).is_none()).collect();
         assert_eq!(invalid, vec![63, 64, 129]);
-        assert_eq!(b.valid_pages().count(), 127);
+        for p in (0..130).filter(|p| ![63, 64, 129].contains(p)) {
+            assert_eq!(b.tag(p), Some(tag(1000 + p)));
+        }
+        assert_eq!(b.tag_bytes(), 130 * 4);
     }
 }

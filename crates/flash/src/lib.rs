@@ -3,7 +3,8 @@
 //! Implements the device-physics layer of the reproduction: the Table I
 //! technology presets (Z-NAND, V-NAND, BiCS, plus a planar-MLC reference),
 //! die-level occupancy with Z-NAND's program suspend/resume, and erase-block
-//! valid-page/wear bookkeeping consumed by the FTL in `ull-ssd`.
+//! bookkeeping (per-page out-of-band tags, wear) consumed by the FTL in
+//! `ull-ssd`.
 //!
 //! # Examples
 //!

@@ -14,7 +14,7 @@
 use ull_faults::FaultPlan;
 use ull_nvme::NvmeController;
 use ull_simkit::{ActorId, Component, Scheduler, SimDuration, SimTime};
-use ull_ssd::{Ssd, SsdConfig};
+use ull_ssd::{Ssd, SsdConfig, TableBytes};
 use ull_stack::{AsyncPort, Host, IoOp, IoPath, SoftwareCosts};
 
 use crate::event::{ChildCmdEvent, ChildDoneEvent, CmdKind, NexusEvent};
@@ -83,6 +83,11 @@ impl NexusChild {
     /// after the world drains, to audit replica equality).
     pub fn digests(&self) -> &[u64] {
         &self.digests
+    }
+
+    /// FTL table bytes this child's device has allocated.
+    pub fn table_bytes(&self) -> TableBytes {
+        self.host.controller().ssd().table_bytes()
     }
 
     /// This child's index in the nexus.

@@ -29,6 +29,7 @@ use std::collections::VecDeque;
 use ull_faults::SALT_REBUILD;
 use ull_probe::{OpKind, SpanRecorder, Stage};
 use ull_simkit::{ActorId, Component, Histogram, Scheduler, SimDuration, SimTime, SplitMix64};
+use ull_ssd::TableBytes;
 
 use crate::event::{ChildCmdEvent, ChildDoneEvent, CmdKind, NexusEvent};
 use crate::rebuild::{RangeLog, WriteRouting};
@@ -776,8 +777,9 @@ impl NexusFrontend {
 
     /// Builds the end-of-run report, auditing replica content equality
     /// across the serving children (`digests[i]` is child `i`'s
-    /// per-range digest vector).
-    pub fn into_report(self, digests: &[&[u64]]) -> NexusReport {
+    /// per-range digest vector); `table_bytes` is the children's summed
+    /// FTL table bytes.
+    pub fn into_report(self, digests: &[&[u64]], table_bytes: TableBytes) -> NexusReport {
         let serving = self.serving();
         let mut mismatches = 0u32;
         if let Some((&first, rest)) = serving.split_first() {
@@ -808,6 +810,7 @@ impl NexusFrontend {
             retire_ns: self.retire_ns,
             readmit_ns: self.readmit_ns,
             quiesced,
+            table_bytes,
         }
     }
 }

@@ -19,6 +19,7 @@
 
 use ull_probe::Stage;
 use ull_simkit::Histogram;
+use ull_ssd::TableBytes;
 
 /// Exact event counters of one nexus run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,6 +119,10 @@ pub struct NexusReport {
     /// Whether the run drained with no ops, no in-flight commands, no
     /// live rebuild and an empty rebuild queue.
     pub quiesced: bool,
+    /// FTL table bytes the children's devices allocated, summed
+    /// ([`ull_ssd::Ssd::table_bytes`]). Tables only grow, so this is the
+    /// run's high-water mark.
+    pub table_bytes: TableBytes,
 }
 
 impl NexusReport {

@@ -2,6 +2,7 @@
 //! child actors in one `ull_simkit::World`.
 
 use ull_simkit::{ActorId, Component, Scheduler, SerialRunner, SimTime, World};
+use ull_ssd::TableBytes;
 
 use crate::child::NexusChild;
 use crate::event::NexusEvent;
@@ -100,16 +101,22 @@ fn run_nexus_inner(cfg: &NexusConfig, stepped: bool) -> NexusReport {
     world.run();
     let mut frontend = None;
     let mut digests: Vec<Vec<u64>> = Vec::new();
+    let mut table_bytes = TableBytes::default();
     for a in world.into_actors() {
         match a {
             NexusActor::Frontend(f) => frontend = Some(f),
-            NexusActor::Child(c) => digests.push(c.digests().to_vec()),
+            NexusActor::Child(c) => {
+                digests.push(c.digests().to_vec());
+                let t = c.table_bytes();
+                table_bytes.l2p += t.l2p;
+                table_bytes.tags += t.tags;
+            }
         }
     }
     let refs: Vec<&[u64]> = digests.iter().map(Vec::as_slice).collect();
     frontend
         .expect("the world contains the frontend")
-        .into_report(&refs)
+        .into_report(&refs, table_bytes)
 }
 
 #[cfg(test)]

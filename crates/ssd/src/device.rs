@@ -16,7 +16,7 @@ use ull_simkit::{SimDuration, SimTime, SplitMix64, Timeline};
 
 use crate::cache::{ReadCache, WriteBuffer};
 use crate::config::{SsdConfig, MAP_UNIT_BYTES};
-use crate::ftl::Ftl;
+use crate::ftl::{Ftl, TableBytes};
 use crate::metrics::SsdMetrics;
 use crate::power::EnergyLedger;
 use crate::topology::{LaneId, Topology};
@@ -204,6 +204,20 @@ impl Ssd {
         m.remapped_blocks = self.ftl.remapped_blocks();
         m.physical_blocks_lost = self.ftl.physical_blocks_lost();
         m
+    }
+
+    /// Bytes the FTL's tables have allocated: forward-map chunks and
+    /// per-block out-of-band tags, both built as the run first touches
+    /// them. A deterministic count, not a measure of resident memory; a
+    /// fresh device reports zero.
+    pub fn table_bytes(&self) -> TableBytes {
+        self.ftl.table_bytes()
+    }
+
+    /// Physical capacity in 4 KB units: the logical space plus the
+    /// over-provisioning margin.
+    pub fn physical_units(&self) -> u64 {
+        self.ftl.physical_units()
     }
 
     /// The energy ledger (power reporting).

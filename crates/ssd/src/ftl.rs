@@ -10,6 +10,8 @@
 //! amortizes reclamation; the remainder is forced synchronously only when a
 //! lane is about to run out of space (the fig. 7b latency spikes).
 
+use std::num::NonZeroU32;
+
 use ull_flash::BlockState;
 use ull_simkit::SplitMix64;
 
@@ -198,15 +200,48 @@ pub(crate) fn address_bits(lanes: u64, blocks_per_lane: u64, units_per_block: u6
     bits_for(lanes) + bits_for(blocks_per_lane) + bits_for(units_per_block)
 }
 
-/// A map of `n` unmapped (0) entries, every one written here. A zeroed
-/// allocation (`vec![0; n]`) would let the allocator hand back untouched
-/// zero pages from a fresh mapping or clear recycled heap memory, so how
-/// much of the map is resident would depend on what the process
-/// allocated before; written out, the whole map is resident from the
-/// start. The fill value is opaque to the optimizer, which would
-/// otherwise turn a fill known to be zero back into a zeroed allocation.
-fn unmapped_table(n: usize) -> Vec<u32> {
-    std::iter::repeat_n(std::hint::black_box(0), n).collect()
+/// Forward-map entries per chunk: 4 KiB of `u32`s.
+const CHUNK_ENTRIES: usize = 1024;
+
+/// A forward-map chunk of unmapped (0) entries, every one written here.
+/// A zeroed allocation (`calloc`) would let the allocator hand back
+/// untouched zero pages or clear recycled heap memory, so how much of the
+/// map is resident would depend on what the process allocated before;
+/// written out, a chunk is resident from its first mapping. The fill
+/// value is opaque to the optimizer, which would otherwise turn a fill
+/// known to be zero back into a zeroed allocation.
+fn unmapped_chunk() -> Box<[u32; CHUNK_ENTRIES]> {
+    Box::new([std::hint::black_box(0); CHUNK_ENTRIES])
+}
+
+/// The out-of-band tag of a page holding `lpn`: `lpn + 1`. The device
+/// bounds `lpn` by the physical space, whose packed addresses fit 31 bits,
+/// so the sum fits.
+fn tag_of(lpn: u64) -> NonZeroU32 {
+    NonZeroU32::MIN.saturating_add(lpn as u32)
+}
+
+/// The lpn an out-of-band tag names.
+fn lpn_of(tag: NonZeroU32) -> u64 {
+    u64::from(tag.get() - 1)
+}
+
+/// Bytes the FTL's tables have allocated. Both are built as a run first
+/// touches them, so this is a deterministic function of what the run
+/// wrote, not a measure of resident memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TableBytes {
+    /// Forward-map chunks, 4 KiB each.
+    pub l2p: u64,
+    /// Per-block out-of-band tag arrays.
+    pub tags: u64,
+}
+
+impl TableBytes {
+    /// Both parts together.
+    pub fn total(self) -> u64 {
+        self.l2p + self.tags
+    }
 }
 
 /// The translation layer.
@@ -224,13 +259,11 @@ fn unmapped_table(n: usize) -> Vec<u32> {
 /// ```
 #[derive(Debug)]
 pub struct Ftl {
-    /// lpn -> packed `lane | block | slot` address + 1; 0 is unmapped.
-    /// Sized to the physical space; the device narrows use to the
-    /// logical space.
-    l2p: Vec<u32>,
-    /// Reverse map, one entry per physical unit in `(lane, block, slot)`
-    /// order: the lpn stored there + 1; 0 is free or invalid.
-    p2l: Vec<u32>,
+    /// lpn -> packed `lane | block | slot` address + 1; 0 is unmapped. A
+    /// directory of `CHUNK_ENTRIES`-entry chunks over the physical space,
+    /// each allocated on its first mapping; an absent chunk maps nothing.
+    /// The reverse map is the blocks' out-of-band tags.
+    l2p: Vec<Option<Box<[u32; CHUNK_ENTRIES]>>>,
     lanes: Vec<Lane>,
     blocks_per_lane: u32,
     units_per_block: u32,
@@ -275,8 +308,11 @@ impl Ftl {
         );
         let physical_units = lanes as usize * blocks_per_lane as usize * units_per_block as usize;
         Ftl {
-            l2p: unmapped_table(physical_units),
-            p2l: unmapped_table(physical_units),
+            // Opaque like a chunk's fill, so the directory is written out
+            // too rather than taken zeroed.
+            l2p: (0..physical_units.div_ceil(CHUNK_ENTRIES))
+                .map(|_| std::hint::black_box(None))
+                .collect(),
             lanes: (0..lanes)
                 .map(|_| Lane::new(blocks_per_lane, units_per_block))
                 .collect(),
@@ -325,12 +361,32 @@ impl Ftl {
 
     /// Physical capacity in 4 KB units.
     pub fn physical_units(&self) -> u64 {
-        self.p2l.len() as u64
+        self.lanes.len() as u64 * u64::from(self.blocks_per_lane) * u64::from(self.units_per_block)
     }
 
-    /// Looks up the physical address of a logical unit.
+    /// Bytes allocated so far by the forward map's chunks and the blocks'
+    /// tag arrays.
+    pub fn table_bytes(&self) -> TableBytes {
+        let chunks = self.l2p.iter().filter(|c| c.is_some()).count();
+        TableBytes {
+            l2p: (chunks * size_of::<[u32; CHUNK_ENTRIES]>()) as u64,
+            tags: self
+                .lanes
+                .iter()
+                .flat_map(|l| &l.blocks)
+                .map(BlockState::tag_bytes)
+                .sum(),
+        }
+    }
+
+    /// Looks up the physical address of a logical unit; `None` if it was
+    /// never mapped, including when its chunk was never allocated.
     pub fn lookup(&self, lpn: u64) -> Option<Ppa> {
-        let packed = self.l2p.get(lpn as usize)?.checked_sub(1)?;
+        let chunk = self
+            .l2p
+            .get((lpn / CHUNK_ENTRIES as u64) as usize)?
+            .as_ref()?;
+        let packed = chunk[lpn as usize % CHUNK_ENTRIES].checked_sub(1)?;
         let lane_shift = self.slot_bits + self.block_bits;
         Some(Ppa {
             lane: LaneId(packed >> lane_shift),
@@ -339,27 +395,18 @@ impl Ftl {
         })
     }
 
-    /// Index of `block`'s first slot in `p2l`.
-    fn block_base(&self, lane: LaneId, block: u32) -> usize {
-        (lane.0 as usize * self.blocks_per_lane as usize + block as usize)
-            * self.units_per_block as usize
+    /// The forward-map entry of `lpn`, allocating its chunk on first use.
+    fn entry_mut(&mut self, lpn: u64) -> &mut u32 {
+        let chunk =
+            self.l2p[(lpn / CHUNK_ENTRIES as u64) as usize].get_or_insert_with(unmapped_chunk);
+        &mut chunk[lpn as usize % CHUNK_ENTRIES]
     }
 
-    /// The lpn stored at `ppa`, or `u64::MAX` if the slot holds no live
-    /// data.
-    fn stored_lpn(&self, ppa: Ppa) -> u64 {
-        u64::from(self.p2l[self.block_base(ppa.lane, ppa.block) + ppa.slot as usize])
-            .wrapping_sub(1)
-    }
-
-    /// Points `lpn` at `ppa` in both maps.
+    /// Points `lpn` at `ppa`, whose program already wrote `lpn`'s tag.
     fn map(&mut self, lpn: u64, ppa: Ppa) {
         let lane_shift = self.slot_bits + self.block_bits;
-        self.l2p[lpn as usize] =
+        *self.entry_mut(lpn) =
             ((ppa.lane.0 << lane_shift) | (ppa.block << self.slot_bits) | ppa.slot) + 1;
-        // The l2p store bounds `lpn` by the physical space, so it fits.
-        let i = self.block_base(ppa.lane, ppa.block) + ppa.slot as usize;
-        self.p2l[i] = lpn as u32 + 1;
     }
 
     /// Total units migrated by GC so far.
@@ -459,7 +506,7 @@ impl Ftl {
         let ppa = loop {
             // Host appends keep one free block in reserve so GC relocation
             // always has somewhere to land (classic GC-reserve invariant).
-            match self.try_place_with_reserve(lane, 1) {
+            match self.try_place_with_reserve(lane, 1, tag_of(lpn)) {
                 Some(ppa) => break ppa,
                 None => {
                     // Open block full and no free block: force the victim out.
@@ -489,9 +536,14 @@ impl Ftl {
         )
     }
 
-    fn try_place_with_reserve(&mut self, lane_id: LaneId, reserve: usize) -> Option<Ppa> {
+    fn try_place_with_reserve(
+        &mut self,
+        lane_id: LaneId,
+        reserve: usize,
+        tag: NonZeroU32,
+    ) -> Option<Ppa> {
         let lane = &mut self.lanes[lane_id.0 as usize];
-        if let Some(slot) = lane.blocks[lane.open as usize].append() {
+        if let Some(slot) = lane.blocks[lane.open as usize].append(tag) {
             return Some(Ppa {
                 lane: lane_id,
                 block: lane.open,
@@ -506,7 +558,7 @@ impl Ftl {
         lane.open = next;
         // A block from the free list is erased, so append cannot fail; `?`
         // keeps the path panic-free regardless.
-        let slot = lane.blocks[next as usize].append()?;
+        let slot = lane.blocks[next as usize].append(tag)?;
         Some(Ppa {
             lane: lane_id,
             block: next,
@@ -514,12 +566,13 @@ impl Ftl {
         })
     }
 
-    /// Places a GC relocation into the lane's dedicated GC destination
-    /// block. The victim capacity guard in `pick_victim` guarantees this
-    /// never fails for a victim whose drain has started.
-    fn place_gc(&mut self, lane_id: LaneId) -> Ppa {
+    /// Places a GC relocation of the unit tagged `tag` into the lane's
+    /// dedicated GC destination block. The victim capacity guard in
+    /// `pick_victim` guarantees this never fails for a victim whose drain
+    /// has started.
+    fn place_gc(&mut self, lane_id: LaneId, tag: NonZeroU32) -> Ppa {
         let lane = &mut self.lanes[lane_id.0 as usize];
-        if let Some(slot) = lane.blocks[lane.gc_open as usize].append() {
+        if let Some(slot) = lane.blocks[lane.gc_open as usize].append(tag) {
             return Ppa {
                 lane: lane_id,
                 block: lane.gc_open,
@@ -533,7 +586,7 @@ impl Ftl {
             .expect("capacity guard guarantees a free GC destination block");
         lane.gc_open = next;
         let slot = lane.blocks[next as usize]
-            .append()
+            .append(tag)
             // simlint: allow(S006): `next` was just popped from the free list, i.e. erased, and an erased block always accepts an append
             .expect("free block accepts appends");
         Ppa {
@@ -571,7 +624,7 @@ impl Ftl {
         // never landed, so drop the failed copy before retrying.
         self.lanes[lane_id.0 as usize].blocks[block as usize].note_program_fail();
         self.invalidate(ppa);
-        self.l2p[lpn as usize] = 0;
+        *self.entry_mut(lpn) = 0;
 
         let can_touch = {
             let lane = &self.lanes[lane_id.0 as usize];
@@ -603,25 +656,20 @@ impl Ftl {
         }
         if retire {
             // Relocate every surviving unit, then erase and retire.
-            loop {
-                let b = &self.lanes[lane_id.0 as usize].blocks[block as usize];
-                let Some(slot) = (0..self.units_per_block).find(|&s| b.is_valid(s)) else {
-                    break;
-                };
-                let at = Ppa {
+            while let Some((slot, tag)) =
+                self.lanes[lane_id.0 as usize].blocks[block as usize].next_valid(0)
+            {
+                self.invalidate(Ppa {
                     lane: lane_id,
                     block,
                     slot,
-                };
-                let moved_lpn = self.stored_lpn(at);
-                debug_assert_ne!(moved_lpn, u64::MAX, "valid slot must map back");
-                self.invalidate(at);
-                let new = self.place_gc(lane_id);
-                self.map(moved_lpn, new);
+                });
+                let new = self.place_gc(lane_id, tag);
+                self.map(lpn_of(tag), new);
                 out.relocated_units += 1;
                 self.total_migrated += 1;
             }
-            self.erase(lane_id, block);
+            self.lanes[lane_id.0 as usize].blocks[block as usize].erase();
             out.erased_blocks += 1;
             self.total_erased += 1;
             let checker = &mut self.remap[lane_id.0 as usize];
@@ -650,15 +698,6 @@ impl Ftl {
 
     fn invalidate(&mut self, ppa: Ppa) {
         self.lanes[ppa.lane.0 as usize].blocks[ppa.block as usize].invalidate(ppa.slot);
-        let i = self.block_base(ppa.lane, ppa.block) + ppa.slot as usize;
-        self.p2l[i] = 0;
-    }
-
-    /// Erases a block and clears its reverse map.
-    fn erase(&mut self, lane: LaneId, block: u32) {
-        self.lanes[lane.0 as usize].blocks[block as usize].erase();
-        let base = self.block_base(lane, block);
-        self.p2l[base..base + self.units_per_block as usize].fill(0);
     }
 
     /// Migrates up to `budget` valid units out of the lane's victim,
@@ -672,31 +711,13 @@ impl Ftl {
                 break;
             };
             // Scan from the victim cursor for the next valid slot.
-            let (next_valid, exhausted) = {
+            let next_valid = {
                 let lane = &self.lanes[lane_id.0 as usize];
-                let block = &lane.blocks[victim_block as usize];
                 // simlint: allow(S006): pick_victim returned Some above, which always installs `lane.victim`
                 let cursor = lane.victim.as_ref().expect("victim set").cursor;
-                let mut found = None;
-                let mut c = cursor;
-                while c < self.units_per_block {
-                    if block.is_valid(c) {
-                        found = Some(c);
-                        break;
-                    }
-                    c += 1;
-                }
-                let next = found.map(|slot| {
-                    let at = Ppa {
-                        lane: lane_id,
-                        block: victim_block,
-                        slot,
-                    };
-                    (at, self.stored_lpn(at))
-                });
-                (next, found.is_none())
+                lane.blocks[victim_block as usize].next_valid(cursor)
             };
-            if exhausted {
+            let Some((slot, tag)) = next_valid else {
                 // Victim fully drained: erase it. If the victim *is* an
                 // append point (it was full when picked), it stays the
                 // append point — now empty — instead of entering the free
@@ -704,8 +725,8 @@ impl Ftl {
                 // block.
                 let worn = self.wear.per_erase_prob > 0.0
                     && self.wear_rng.chance(self.wear.per_erase_prob);
-                self.erase(lane_id, victim_block);
                 let lane = &mut self.lanes[lane_id.0 as usize];
+                lane.blocks[victim_block as usize].erase();
                 let is_append_point = victim_block == lane.open || victim_block == lane.gc_open;
                 let mut usable = true;
                 if worn {
@@ -736,19 +757,19 @@ impl Ftl {
                     break;
                 }
                 continue;
-            }
-            // `exhausted` was handled above, so next_valid is Some; break
-            // is the safe (unreachable) fallback rather than a panic.
-            let Some((at, lpn)) = next_valid else { break };
-            debug_assert_ne!(lpn, u64::MAX, "valid slot must have a reverse mapping");
+            };
             // Invalidate the old copy and advance the cursor...
-            self.invalidate(at);
+            self.invalidate(Ppa {
+                lane: lane_id,
+                block: victim_block,
+                slot,
+            });
             if let Some(v) = self.lanes[lane_id.0 as usize].victim.as_mut() {
-                v.cursor = at.slot + 1;
+                v.cursor = slot + 1;
             }
             // ...then re-place the unit into the GC destination block.
-            let ppa = self.place_gc(lane_id);
-            self.map(lpn, ppa);
+            let ppa = self.place_gc(lane_id, tag);
+            self.map(lpn_of(tag), ppa);
             moved += 1;
             work.migrated_units += 1;
             self.total_migrated += 1;
@@ -774,6 +795,13 @@ mod tests {
         Ftl::new(1, 8, 4, gc())
     }
 
+    /// The lpn named by the out-of-band tag at `ppa`, if the page is valid.
+    fn stored_lpn(f: &Ftl, ppa: Ppa) -> Option<u64> {
+        f.lanes[ppa.lane.0 as usize].blocks[ppa.block as usize]
+            .tag(ppa.slot)
+            .map(lpn_of)
+    }
+
     #[test]
     fn lookup_follows_appends() {
         let mut f = small_ftl();
@@ -783,6 +811,28 @@ mod tests {
         assert_eq!(f.lookup(11), Some(p1.ppa));
         assert_eq!(f.lookup(12), None);
         assert_ne!(p0.ppa, p1.ppa);
+    }
+
+    #[test]
+    fn the_forward_map_allocates_a_chunk_on_first_mapping() {
+        // 4 lanes x 300 blocks x 4 units: 4,800 physical units, 5 chunks.
+        let mut f = Ftl::new(4, 300, 4, gc());
+        assert_eq!(f.table_bytes(), TableBytes::default());
+        assert_eq!(f.lookup(2_500), None, "a lookup in an absent chunk");
+        let (p, _) = f.append(2_500);
+        let one_block = TableBytes {
+            l2p: 4096,
+            tags: 16,
+        };
+        assert_eq!(f.table_bytes(), one_block, "one chunk, one block's tags");
+        assert_eq!(f.lookup(2_500), Some(p.ppa));
+        assert_eq!(f.lookup(2_501), None, "the rest of the chunk is unmapped");
+        assert_eq!(f.lookup(2_047), None, "the chunk before is still absent");
+        assert_eq!(f.lookup(5_120), None, "past the directory");
+        f.append(3_071);
+        assert_eq!(f.table_bytes().l2p, 4096, "same chunk");
+        f.append(3_072);
+        assert_eq!(f.table_bytes().l2p, 2 * 4096, "the next chunk");
     }
 
     #[test]
@@ -822,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn l2p_and_p2l_stay_inverse() {
+    fn l2p_and_oob_tags_stay_inverse() {
         let wear = WearConfig {
             per_erase_prob: 0.0,
             remap_enabled: true,
@@ -852,22 +902,23 @@ mod tests {
             for lpn in 0..logical {
                 let ppa = f.lookup(lpn).expect("every written lpn is mapped");
                 assert!(ppa.lane.0 < lanes && ppa.block < blocks && ppa.slot < units);
-                assert_eq!(f.stored_lpn(ppa), lpn);
-                assert!(f.lanes[ppa.lane.0 as usize].blocks[ppa.block as usize].is_valid(ppa.slot));
+                assert_eq!(stored_lpn(&f, ppa), Some(lpn));
             }
-            // The other direction: every live reverse entry maps back.
+            // The other direction: every block's valid tags map back.
             let mut live = 0;
-            for (i, &entry) in f.p2l.iter().enumerate() {
-                if entry == 0 {
-                    continue;
+            for (lane, l) in f.lanes.iter().enumerate() {
+                for (block, b) in l.blocks.iter().enumerate() {
+                    for slot in 0..units {
+                        let ppa = Ppa {
+                            lane: LaneId(lane as u32),
+                            block: block as u32,
+                            slot,
+                        };
+                        let Some(tag) = b.tag(slot) else { continue };
+                        assert_eq!(f.lookup(lpn_of(tag)), Some(ppa));
+                        live += 1;
+                    }
                 }
-                let ppa = Ppa {
-                    lane: LaneId(i as u32 / (blocks * units)),
-                    block: i as u32 / units % blocks,
-                    slot: i as u32 % units,
-                };
-                assert_eq!(f.lookup(u64::from(entry) - 1), Some(ppa));
-                live += 1;
             }
             assert_eq!(live, logical);
             assert_eq!(
@@ -970,9 +1021,7 @@ mod tests {
         for lpn in 0..7u64 {
             let ppa = f.lookup(lpn).expect("mapped after recovery");
             assert!(seen.insert(ppa), "duplicate mapping at {lpn}");
-            let lane = &f.lanes[ppa.lane.0 as usize];
-            assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
-            assert_eq!(f.stored_lpn(ppa), lpn);
+            assert_eq!(stored_lpn(&f, ppa), Some(lpn));
         }
     }
 

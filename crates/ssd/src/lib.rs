@@ -48,7 +48,7 @@ pub use config::{
     MAP_UNIT_BYTES,
 };
 pub use device::{DeviceCompletion, Ssd, SsdCommand};
-pub use ftl::{Ftl, GcWork, Placement, Ppa, ProgramFailRecovery, WearConfig};
+pub use ftl::{Ftl, GcWork, Placement, Ppa, ProgramFailRecovery, TableBytes, WearConfig};
 pub use metrics::SsdMetrics;
 pub use power::{nj_over, EnergyLedger};
 pub use remap::{OutOfSpares, RemapChecker};

@@ -135,6 +135,13 @@ fn parse_args() -> Args {
     } else if args.path == IoPath::Spdk {
         args.engine = Engine::SpdkPlugin;
     }
+    // Every in-flight request holds a driver tag per split part, so an
+    // asynchronous engine's depth must fit the tag set; `pvsync2` keeps
+    // one request in flight whatever the depth.
+    let tags = u64::from(args.iodepth) * u64::from(args.bs.div_ceil(Host::MAX_TRANSFER));
+    if args.engine != Engine::Pvsync2 && tags > u64::from(Host::TAGS) {
+        usage();
+    }
     args
 }
 

@@ -19,15 +19,40 @@ fn ullfio(args: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn bad_flag_values_exit_2_with_the_usage_line() {
     for args in [
-        ["--bs", "0"],
-        ["--bs", "3000"],
-        ["--iodepth", "0"],
-        ["--rw", "sideways"],
+        &["--bs", "0"][..],
+        &["--bs", "3000"],
+        &["--iodepth", "0"],
+        &["--rw", "sideways"],
+        // Depths the 1,024 driver tags cannot carry: one tag per 128 KiB
+        // part of every in-flight request.
+        &["--engine", "libaio", "--iodepth", "2000"],
+        &[
+            "--engine",
+            "libaio",
+            "--rw",
+            "randwrite",
+            "--bs",
+            "1048576",
+            "--iodepth",
+            "256",
+        ],
+        &["--engine", "spdk", "--iodepth", "1025"],
     ] {
-        let (code, stderr) = ullfio(&args);
+        let (code, stderr) = ullfio(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.starts_with("usage: ullfio"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn depths_that_fill_the_driver_tags_exactly_still_run() {
+    for args in [
+        ["--bs", "1048576", "--iodepth", "128", "--ios", "256"],
+        ["--bs", "4096", "--iodepth", "1024", "--ios", "2048"],
+    ] {
+        let (code, stderr) = ullfio(&[&["--engine", "libaio"][..], &args].concat());
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
     }
 }
 

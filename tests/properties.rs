@@ -10,13 +10,17 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use ull_nexus::{run_nexus, NexusConfig};
 use ull_ssd_study::faults::{FaultPlan, FaultReport};
 use ull_ssd_study::netblock::{NbdServerKind, NbdSystem};
 use ull_ssd_study::nvme::{CompletionQueue, NvmeCommand, SubmissionQueue};
 use ull_ssd_study::simkit::{
-    EventQueue, Histogram, SimDuration, SimTime, SplitMix64, Timeline, TimingWheel,
+    EventQueue, Histogram, SerialRunner, SimDuration, SimTime, SplitMix64, Timeline, TimingWheel,
 };
-use ull_ssd_study::ssd::{presets, Ftl, GcPolicy, LaneId, RemapChecker, WearConfig, WriteBuffer};
+use ull_ssd_study::ssd::{
+    presets, Ftl, GcPolicy, LaneId, RemapChecker, Ssd, TableBytes, Topology, WearConfig,
+    WriteBuffer,
+};
 use ull_ssd_study::stack::{split_request, IoOp, IoPath};
 use ull_ssd_study::study::{host, Device};
 use ull_ssd_study::workload::{run_job, JobSpec, Pattern};
@@ -693,6 +697,46 @@ fn ftl_conserves_valid_units_under_churn() {
         assert!(ppa.lane <= LaneId(3));
     }
     assert!(ftl.migrated_units() > 0);
+}
+
+/// The FTL builds its forward-map chunks and per-block tag arrays only as
+/// a run first writes them, so their size is a deterministic count of
+/// what the run touched, bounded by the flat tables they replaced (a
+/// forward and a reverse `u32` per physical unit).
+#[test]
+fn device_tables_grow_only_with_what_a_run_writes() {
+    let cfg = presets::ull_800g();
+    let mut ssd = Ssd::new(cfg.clone()).expect("valid preset");
+    let full_tables = 8 * ssd.physical_units();
+    assert_eq!(ssd.table_bytes(), TableBytes::default(), "fresh device");
+
+    ssd.precondition_full();
+    let t = ssd.table_bytes();
+    assert_eq!(t.l2p, 512 * 4096, "524,288 lpns in 1,024-entry chunks");
+    // Preconditioning fills the lanes round-robin and triggers no GC, so
+    // each lane programs the blocks its share of the lpns needs.
+    let lanes = u64::from(Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair()).lanes());
+    let units_per_block = u64::from(cfg.effective_pages_per_block() * cfg.units_per_row());
+    let blocks = lanes * (cfg.logical_units() / lanes).div_ceil(units_per_block);
+    assert_eq!(blocks, 5_504);
+    assert_eq!(t.tags, blocks * units_per_block * 4);
+    assert!(t.total() <= full_tables);
+
+    // A nexus child writes only its 24 ranges of 16 lpns, strided across
+    // the device: 31 chunks, as 7 ranges straddle a chunk boundary, plus
+    // the tags of the blocks its writes and rebuild copies programmed.
+    let mut nexus = NexusConfig::new(presets::ull_800g());
+    nexus.path = IoPath::KernelInterrupt;
+    nexus.ios = 20_000;
+    nexus.plan = FaultPlan::uniform(1, 2e-2);
+    nexus.budget = 2;
+    let run = || run_nexus(&nexus, 1, &mut SerialRunner);
+    let (a, b) = (run(), run());
+    assert!(a.counters.retired_children > 0, "the rebuild ran");
+    assert_eq!(a.table_bytes, b.table_bytes, "the mark repeats exactly");
+    assert_eq!(a.table_bytes.l2p, 3 * 31 * 4096);
+    assert!(a.table_bytes.tags > 0);
+    assert!(a.table_bytes.total() <= 3 * full_tables);
 }
 
 /// Under a hostile NVMe timeout lottery, synchronous completions to the
