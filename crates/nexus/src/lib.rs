@@ -42,7 +42,7 @@ pub use event::{ChildCmdEvent, ChildDoneEvent, CmdKind, NexusEvent};
 pub use frontend::NexusFrontend;
 pub use rebuild::{RangeLog, RangeState, WriteRouting};
 pub use report::{NexusCounters, NexusReport};
-pub use world::{run_nexus, run_nexus_stepped, NexusActor};
+pub use world::{run_nexus, NexusActor};
 
 /// Latency floor of the frontend↔child link (an in-chassis hop). This
 /// is the nexus world's cross-actor floor: every cross-actor send

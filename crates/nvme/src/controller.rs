@@ -9,7 +9,7 @@
 use ull_faults::{FaultPlan, SALT_NVME};
 use ull_probe::DeviceSpan;
 use ull_simkit::{Component, Engine, Scheduler, SimDuration, SimTime, SplitMix64};
-use ull_ssd::{DeviceCompletion, Ssd, SsdCommand};
+use ull_ssd::{DeviceCompletion, Ssd};
 
 use crate::command::{Completion, NvmeCommand, Opcode};
 use crate::queue::{CompletionQueue, QueueFull, SubmissionQueue};
@@ -43,55 +43,28 @@ impl QueuePair {
 }
 
 /// The device-scheduler component: drains due completions from a queue
-/// pair's pending timeline into its CQ ring.
+/// pair's pending timeline into its CQ ring, one at a time.
 ///
-/// Same-instant completions arrive as one batch and post as a slice —
-/// coalesced interrupts deliver many CQEs per doorbell, and the slice
-/// drain amortizes the per-event dispatch (ROADMAP item 5). CQ
-/// backpressure is head-of-line: the first completion that does not fit
-/// re-parks itself and everything behind it at the current instant under
-/// their cid keys (cids are unique, so this restores the exact
-/// `(time, cid)` order) and halts the drain until the host consumes
-/// entries.
+/// CQ backpressure is head-of-line: the first completion that does not
+/// fit re-parks itself at the current instant under its cid key and
+/// halts the drain until the host consumes entries. Everything behind
+/// it is still pending under its own `(time, cid)`, and cids are
+/// unique, so the re-park restores the exact `(time, cid)` order.
 struct CqPump<'a> {
     cq: &'a mut CompletionQueue,
     /// SQ head to advertise in posted CQEs; the SQ does not move during
-    /// a delivery drain, so one read serves the whole batch.
+    /// a delivery drain, so one read serves the whole drain.
     sqhd: u16,
-}
-
-impl CqPump<'_> {
-    /// Posts one cid; on a full CQ re-parks it and halts. Returns
-    /// whether the post fit.
-    fn post(&mut self, now: SimTime, cid: u16, sched: &mut Scheduler<'_, u16>) -> bool {
-        if self.cq.post(cid, self.sqhd, true).is_err() {
-            sched.at_keyed(now, u64::from(cid), cid);
-            sched.halt();
-            return false;
-        }
-        true
-    }
 }
 
 impl Component for CqPump<'_> {
     type Event = u16;
 
     fn on_event(&mut self, now: SimTime, cid: u16, sched: &mut Scheduler<'_, u16>) {
-        self.post(now, cid, sched);
-    }
-
-    fn on_batch(&mut self, now: SimTime, batch: &mut Vec<u16>, sched: &mut Scheduler<'_, u16>) {
-        for (i, &cid) in batch.iter().enumerate() {
-            if !self.post(now, cid, sched) {
-                // Head-of-line blocked: the tail re-parks behind the
-                // full-CQ cid, keyed so order is preserved.
-                for &blocked in &batch[i + 1..] {
-                    sched.at_keyed(now, u64::from(blocked), blocked);
-                }
-                break;
-            }
+        if self.cq.post(cid, self.sqhd, true).is_err() {
+            sched.at_keyed(now, u64::from(cid), cid);
+            sched.halt();
         }
-        batch.clear();
     }
 }
 
@@ -122,9 +95,9 @@ pub struct NvmeController {
     /// Per-command device detail, retrievable once after completion.
     ///
     /// A linear-scan vector, not a map: the host collects details
-    /// immediately after each doorbell, so the set holds at most one
-    /// command batch (plus fault-dropped stragglers) and a handful of
-    /// cache-resident compares beats a tree walk per command.
+    /// immediately after each doorbell, so the set holds at most the
+    /// commands of one doorbell (plus fault-dropped stragglers) and a
+    /// handful of cache-resident compares beats a tree walk per command.
     details: Vec<((u16, u16), DeviceCompletion)>,
     /// Per-command device-internal spans, kept only while probing is on
     /// (pure observation: the set never influences timing or RNG draws).
@@ -133,16 +106,6 @@ pub struct NvmeController {
     probing: bool,
     /// Installed completion-loss injection (absent ⇒ bit-for-bit nominal).
     faults: Option<CtrlFaultState>,
-    /// Pooled scratch for one doorbell's fetched commands — the SQ is
-    /// drained into this, executed as one device slice, then
-    /// post-processed; reused so steady state allocates nothing.
-    cmd_scratch: Vec<NvmeCommand>,
-    /// Pooled scratch: the device-facing view of `cmd_scratch`.
-    dev_scratch: Vec<SsdCommand>,
-    /// Pooled scratch: the batch's completions, index-parallel.
-    comp_scratch: Vec<DeviceCompletion>,
-    /// Pooled scratch: the batch's spans (probing only), index-parallel.
-    span_scratch: Vec<DeviceSpan>,
 }
 
 /// Completion-loss lottery: each executed command may have its completion
@@ -178,10 +141,6 @@ impl NvmeController {
             spans: Vec::new(),
             probing: false,
             faults: None,
-            cmd_scratch: Vec::new(),
-            dev_scratch: Vec::new(),
-            comp_scratch: Vec::new(),
-            span_scratch: Vec::new(),
         }
     }
 
@@ -317,128 +276,64 @@ impl NvmeController {
         }
     }
 
-    /// Fetches every queued submission on `qid` as one slice, executes
-    /// the whole slice on the backend with a single [`Ssd::execute_batch`]
-    /// call, then post-processes the completions in fetch order.
-    ///
-    /// Byte-identical to the historical fetch-execute-one-at-a-time loop:
-    /// the device executes commands in the same order (its RNG stream and
-    /// timelines advance identically), and the controller-side fault
-    /// lottery draws from its own independent RNG stream in the same
-    /// command order, so moving the draws after the device slice changes
-    /// only the interleaving *between* the two streams — unobservable.
+    /// Fetches every queued submission on `qid`, in order, and for each
+    /// one: executes it on the backend, records its detail (and span,
+    /// when probing), runs the completion-loss lottery, and schedules
+    /// the surviving completion.
     fn ring(&mut self, qid: u16, at: SimTime, exempt: bool) {
-        // Singleton fast path: a one-command doorbell (the closed loop's
-        // common case — every submit rings immediately) skips the slice
-        // staging entirely. `execute_batch` over one command is the same
-        // per-command sequence, so the two paths are byte-equivalent —
-        // the batch==singleton differential tests pin that.
-        if self.qpairs[qid as usize].sq.len() == 1 {
-            if let Some(cmd) = self.qpairs[qid as usize].sq.pop() {
-                self.execute_one(qid, at, exempt, &cmd);
-            }
-            return;
-        }
-        let mut cmds = core::mem::take(&mut self.cmd_scratch);
-        let mut devs = core::mem::take(&mut self.dev_scratch);
-        let mut comps = core::mem::take(&mut self.comp_scratch);
-        let mut spans = core::mem::take(&mut self.span_scratch);
         while let Some(cmd) = self.qpairs[qid as usize].sq.pop() {
-            devs.push(match cmd.opcode {
-                Opcode::Read => SsdCommand::Read {
-                    offset: cmd.offset(),
-                    len: cmd.bytes(),
-                },
-                Opcode::Write => SsdCommand::Write {
-                    offset: cmd.offset(),
-                    len: cmd.bytes(),
-                },
-                Opcode::Flush => SsdCommand::Flush,
-            });
-            cmds.push(cmd);
-        }
-        self.ssd
-            .execute_batch(at, &devs, &mut comps, self.probing.then_some(&mut spans));
-        for (i, cmd) in cmds.iter().enumerate() {
-            let span = self.probing.then(|| spans[i]);
-            self.finish_command(qid, exempt, cmd.cid, comps[i], span);
-        }
-        cmds.clear();
-        devs.clear();
-        comps.clear();
-        spans.clear();
-        self.cmd_scratch = cmds;
-        self.dev_scratch = devs;
-        self.comp_scratch = comps;
-        self.span_scratch = spans;
-    }
-
-    /// Executes one fetched command on the backend and post-processes
-    /// it — the historical one-at-a-time ring body, kept as the
-    /// singleton fast path of [`ring`](Self::ring).
-    fn execute_one(&mut self, qid: u16, at: SimTime, exempt: bool, cmd: &NvmeCommand) {
-        let completion = match cmd.opcode {
-            Opcode::Read => self.ssd.read(at, cmd.offset(), cmd.bytes()),
-            Opcode::Write => self.ssd.write(at, cmd.offset(), cmd.bytes()),
-            Opcode::Flush => {
-                let done = self.ssd.flush(at);
-                DeviceCompletion {
-                    done,
-                    dram_hit: false,
-                    suspended: false,
-                    gc_stalled: false,
+            let completion = match cmd.opcode {
+                Opcode::Read => self.ssd.read(at, cmd.offset(), cmd.bytes()),
+                Opcode::Write => self.ssd.write(at, cmd.offset(), cmd.bytes()),
+                Opcode::Flush => {
+                    let done = self.ssd.flush(at);
+                    DeviceCompletion {
+                        done,
+                        dram_hit: false,
+                        suspended: false,
+                        gc_stalled: false,
+                    }
                 }
+            };
+            let cid = cmd.cid;
+            Self::put(&mut self.details, (qid, cid), completion);
+            if self.probing {
+                let span = match cmd.opcode {
+                    // The SSD computed the exact decomposition while
+                    // executing the command just above.
+                    Opcode::Read | Opcode::Write => self.ssd.last_span(),
+                    Opcode::Flush => {
+                        // Flush has no per-die critical path; charge the
+                        // whole wait to the program-drain bucket.
+                        let mut s = DeviceSpan::empty(at);
+                        s.done = completion.done;
+                        s.write_drain = completion.done.saturating_since(at);
+                        s
+                    }
+                };
+                Self::put(&mut self.spans, (qid, cid), span);
             }
-        };
-        let span = self.probing.then(|| match cmd.opcode {
-            // The SSD computed the exact decomposition while executing
-            // the command just above.
-            Opcode::Read | Opcode::Write => self.ssd.last_span(),
-            Opcode::Flush => {
-                // Flush has no per-die critical path; charge the whole
-                // wait to the program-drain bucket.
-                let mut s = DeviceSpan::empty(at);
-                s.done = completion.done;
-                s.write_drain = completion.done.saturating_since(at);
-                s
-            }
-        });
-        self.finish_command(qid, exempt, cmd.cid, completion, span);
-    }
-
-    /// The shared post-execution tail of both ring paths: records the
-    /// command's detail (and span, when probing), runs the
-    /// completion-loss lottery, and schedules the surviving completion.
-    fn finish_command(
-        &mut self,
-        qid: u16,
-        exempt: bool,
-        cid: u16,
-        completion: DeviceCompletion,
-        span: Option<DeviceSpan>,
-    ) {
-        Self::put(&mut self.details, (qid, cid), completion);
-        if let Some(span) = span {
-            Self::put(&mut self.spans, (qid, cid), span);
-        }
-        // Completion-loss injection: the command *executed* on the
-        // backend, but its completion never surfaces — exactly how a
-        // lost CQE / dead MSI looks to the host.
-        let lost = match &mut self.faults {
-            Some(f) if !exempt && f.timeout_prob > 0.0 => {
-                let lost = f.rng.chance(f.timeout_prob);
-                if lost {
-                    f.injected_timeouts += 1;
-                    f.dropped.push((qid, cid));
+            // Completion-loss injection: the command *executed* on the
+            // backend, but its completion never surfaces — exactly how
+            // a lost CQE / dead MSI looks to the host.
+            let lost = match &mut self.faults {
+                Some(f) if !exempt && f.timeout_prob > 0.0 => {
+                    let lost = f.rng.chance(f.timeout_prob);
+                    if lost {
+                        f.injected_timeouts += 1;
+                        f.dropped.push((qid, cid));
+                    }
+                    lost
                 }
-                lost
+                _ => false,
+            };
+            if !lost {
+                self.qpairs[qid as usize].pending.schedule_keyed(
+                    completion.done,
+                    u64::from(cid),
+                    cid,
+                );
             }
-            _ => false,
-        };
-        if !lost {
-            self.qpairs[qid as usize]
-                .pending
-                .schedule_keyed(completion.done, u64::from(cid), cid);
         }
     }
 
@@ -695,18 +590,23 @@ mod tests {
 
     #[test]
     fn cq_backpressure_retries_delivery() {
+        // A 4-slot CQ holds 3 entries. Six flushes on a fresh device all
+        // complete at the doorbell instant, fetched out of cid order over
+        // two doorbells, so delivery overflows the CQ: the head-of-line
+        // cid re-parks and halts the drain, and each later poll must
+        // resume in exact `(time, cid)` order.
         let mut c = NvmeController::new(Ssd::new(presets::ull_800g()).unwrap(), 1, 4);
-        for cid in 0..3 {
-            c.submit(0, NvmeCommand::read(cid, cid as u64 * 4096, 4096))
-                .unwrap();
+        for doorbell in [[6, 2, 5], [1, 4, 3]] {
+            for cid in doorbell {
+                c.submit(0, NvmeCommand::flush(cid)).unwrap();
+            }
+            c.ring_sq_doorbell(0, SimTime::ZERO);
         }
-        c.ring_sq_doorbell(0, SimTime::ZERO);
+        assert_eq!(c.in_flight(0), 6);
         let late = SimTime::ZERO + ull_simkit::SimDuration::from_millis(100);
         // Consume one at a time; every completion must eventually surface.
-        for _ in 0..3 {
-            assert!(c.poll(0, late).is_some());
-        }
-        assert!(c.poll(0, late).is_none());
+        let cids: Vec<u16> = std::iter::from_fn(|| c.poll(0, late).map(|e| e.cid)).collect();
+        assert_eq!(cids, [1, 2, 3, 4, 5, 6]);
         assert_eq!(c.in_flight(0), 0);
     }
 }

@@ -166,8 +166,7 @@ impl<E> core::fmt::Debug for Scheduler<'_, E> {
 /// One actor: local state driven by timestamped events.
 ///
 /// Implementations receive events through [`on_event`](Self::on_event)
-/// (or same-instant batches through [`on_batch`](Self::on_batch)) and
-/// emit follow-ups through the [`Scheduler`] — never by draining a
+/// and emit follow-ups through the [`Scheduler`] — never by draining a
 /// queue of their own, which is what lets one implementation run under
 /// either driver.
 pub trait Component {
@@ -176,59 +175,17 @@ pub trait Component {
 
     /// Handles one event at instant `now`.
     fn on_event(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
-
-    /// Handles every event of one instant as a slice.
-    ///
-    /// The default forwards to [`on_event`](Self::on_event) in order;
-    /// hot components (the ssd device scheduler) override it to
-    /// amortize per-event dispatch across coalesced completions
-    /// (ROADMAP item 5). Implementations must leave `batch` empty.
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Vec<Self::Event>,
-        sched: &mut Scheduler<'_, Self::Event>,
-    ) {
-        for ev in batch.drain(..) {
-            self.on_event(now, ev, sched);
-        }
-    }
-}
-
-/// Wraps a component and suppresses its [`Component::on_batch`]
-/// override, forcing every batch through the default one-event-at-a-
-/// time loop.
-///
-/// This is the reference side of the batch==singleton differential
-/// tests: running the same seeded scenario through `Unbatched<C>` and
-/// through `C` must produce byte-identical reports, because a batch
-/// override is only ever allowed to amortize dispatch — never to
-/// change observable order or state.
-pub struct Unbatched<C>(pub C);
-
-impl<C: Component> Component for Unbatched<C> {
-    type Event = C::Event;
-
-    fn on_event(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>) {
-        self.0.on_event(now, ev, sched);
-    }
-    // No `on_batch` override: the trait default drains the batch
-    // through `on_event` in order, which lands on the inner
-    // component's `on_event` — its batch fast path is never consulted.
 }
 
 /// The single-actor driver: one component, one event queue.
 ///
 /// This is what the four hand-rolled engine loops were each an
-/// open-coded copy of. [`run`](Self::run) drains same-instant batches
-/// through [`Component::on_batch`]; [`run_stepped`](Self::run_stepped)
-/// dispatches strictly one event at a time for components whose
-/// emissions at the *current* instant must interleave, by key, with
-/// events still pending at that instant (trace replay's
+/// open-coded copy of. It dispatches strictly one event at a time, so
+/// an event a component emits at the *current* instant interleaves, by
+/// key, with the events still pending at that instant (trace replay's
 /// submit-before-completion tie).
 pub struct Engine<E> {
     queue: EventQueue<E>,
-    batch: Vec<E>,
     halted: bool,
 }
 
@@ -243,7 +200,6 @@ impl<E> Engine<E> {
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
-            batch: Vec::new(),
             halted: false,
         }
     }
@@ -277,62 +233,21 @@ impl<E> Engine<E> {
         f(&mut sched)
     }
 
-    /// Drains every pending event through `c`, batch per instant, until
-    /// the queue is empty or the component [`halt`](Scheduler::halt)s.
+    /// Dispatches pending events through [`Component::on_event`] one at
+    /// a time, in `(time, key, seq)` order, until the queue is empty or
+    /// the component [`halt`](Scheduler::halt)s. An event the component
+    /// emits at the current instant with a lower key than a
+    /// still-pending same-instant event is dispatched first.
     pub fn run(&mut self, c: &mut impl Component<Event = E>) {
-        self.halted = false;
-        while !self.halted {
-            let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.queue.pop_same_instant(&mut batch) else {
-                self.batch = batch;
-                return;
-            };
-            let mut sched = Scheduler {
-                now: t,
-                me: ActorId(0),
-                floor: SimDuration::ZERO,
-                halted: &mut self.halted,
-                sink: &mut self.queue,
-            };
-            c.on_batch(t, &mut batch, &mut sched);
-            batch.clear();
-            self.batch = batch;
-        }
+        self.run_until(SimTime::MAX, c);
     }
 
-    /// Like [`run`](Self::run), but only dispatches instants at or
-    /// before `bound` — the device scheduler's "deliver everything due
-    /// by now" drain. Events beyond `bound` stay pending.
+    /// Like [`run`](Self::run), but only dispatches events at or before
+    /// `bound` — the device scheduler's "deliver everything due by now"
+    /// drain. Events beyond `bound` stay pending.
     pub fn run_until(&mut self, bound: SimTime, c: &mut impl Component<Event = E>) {
         self.halted = false;
-        while !self.halted {
-            let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.queue.pop_same_instant_until(bound, &mut batch) else {
-                self.batch = batch;
-                return;
-            };
-            let mut sched = Scheduler {
-                now: t,
-                me: ActorId(0),
-                floor: SimDuration::ZERO,
-                halted: &mut self.halted,
-                sink: &mut self.queue,
-            };
-            c.on_batch(t, &mut batch, &mut sched);
-            batch.clear();
-            self.batch = batch;
-        }
-    }
-
-    /// Drains events strictly one at a time through
-    /// [`Component::on_event`] until the queue is empty or the
-    /// component halts. An event the component emits at the current
-    /// instant with a lower key than a still-pending same-instant event
-    /// is dispatched first — exactly the `(time, key, seq)` order the
-    /// open-coded trace-replay loop relied on.
-    pub fn run_stepped(&mut self, c: &mut impl Component<Event = E>) {
-        self.halted = false;
-        while !self.halted {
+        while !self.halted && self.queue.peek_time().is_some_and(|t| t <= bound) {
             let Some((t, ev)) = self.queue.pop() else {
                 return;
             };
@@ -429,7 +344,7 @@ mod tests {
     #[test]
     fn stepped_mode_interleaves_current_instant_emissions_by_key() {
         // Pending at t=10: keys 1 and 3. The dispatch of key 1 emits a
-        // key-2 event at t=10; stepped mode must pop it before key 3.
+        // key-2 event at t=10; `run` must pop it before key 3.
         let mut e = Engine::new();
         e.schedule_keyed(SimTime::from_nanos(10), 1, 100);
         e.schedule_keyed(SimTime::from_nanos(10), 3, 300);
@@ -437,7 +352,7 @@ mod tests {
             seen: Vec::new(),
             emit_at_now: Some((2, 200)),
         };
-        e.run_stepped(&mut c);
+        e.run(&mut c);
         assert_eq!(c.seen, vec![(10, 100), (10, 200), (10, 300)]);
     }
 

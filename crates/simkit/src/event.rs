@@ -163,32 +163,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains every event scheduled for the earliest pending instant
-    /// into `out` (in tie-break order) and returns that instant — the
-    /// batched same-instant drain engine loops use to retire coalesced
-    /// completions as one slice.
-    pub fn pop_same_instant(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        self.drain_instant(u64::MAX, out)
-    }
-
-    /// Like [`pop_same_instant`](Self::pop_same_instant), but only
-    /// drains if the earliest instant is at or before `bound`; events
-    /// beyond it stay pending and `None` is returned.
-    pub fn pop_same_instant_until(&mut self, bound: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
-        self.drain_instant(bound.as_nanos(), out)
-    }
-
-    #[inline]
-    fn drain_instant(&mut self, bound: u64, out: &mut Vec<E>) -> Option<SimTime> {
-        let t = self.heap.peek().map(|e| e.at).filter(|&at| at <= bound)?;
-        while self.heap.peek().is_some_and(|e| e.at == t) {
-            if let Some(e) = self.heap.pop() {
-                out.push(e.payload);
-            }
-        }
-        Some(SimTime::from_nanos(t))
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
@@ -278,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_before_and_same_instant_drain() {
+    fn pop_if_before_pops_only_strictly_earlier_events() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), 'a');
         q.schedule(SimTime::from_nanos(10), 'b');
@@ -288,44 +262,11 @@ mod tests {
             q.pop_if_before(SimTime::from_nanos(11)),
             Some((SimTime::from_nanos(10), 'a'))
         );
-        let mut batch = Vec::new();
         assert_eq!(
-            q.pop_same_instant(&mut batch),
-            Some(SimTime::from_nanos(10))
+            q.pop_if_before(SimTime::from_nanos(11)),
+            Some((SimTime::from_nanos(10), 'b'))
         );
-        assert_eq!(batch, vec!['b']);
-        batch.clear();
-        assert_eq!(
-            q.pop_same_instant(&mut batch),
-            Some(SimTime::from_nanos(20))
-        );
-        assert_eq!(batch, vec!['c']);
-        assert!(q.is_empty());
-        assert_eq!(q.pop_same_instant(&mut batch), None);
-    }
-
-    #[test]
-    fn bounded_same_instant_drain_respects_the_bound() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), 'a');
-        q.schedule(SimTime::from_nanos(10), 'b');
-        q.schedule(SimTime::from_nanos(20), 'c');
-        let mut batch = Vec::new();
-        assert_eq!(
-            q.pop_same_instant_until(SimTime::from_nanos(9), &mut batch),
-            None
-        );
-        assert!(batch.is_empty());
-        assert_eq!(
-            q.pop_same_instant_until(SimTime::from_nanos(10), &mut batch),
-            Some(SimTime::from_nanos(10))
-        );
-        assert_eq!(batch, vec!['a', 'b']);
-        batch.clear();
-        assert_eq!(
-            q.pop_same_instant_until(SimTime::from_nanos(19), &mut batch),
-            None
-        );
+        assert_eq!(q.pop_if_before(SimTime::from_nanos(11)), None);
         assert_eq!(q.len(), 1);
     }
 }

@@ -57,7 +57,7 @@ mod stats;
 mod time;
 mod world;
 
-pub use component::{ActorId, Component, Engine, Scheduler, Unbatched};
+pub use component::{ActorId, Component, Engine, Scheduler};
 pub use event::{EventQueue, TimingWheel};
 pub use hist::Histogram;
 pub use json::Json;

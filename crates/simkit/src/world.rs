@@ -3,9 +3,8 @@
 //!
 //! A [`World`] holds its actors in a `Vec` indexed by [`ActorId`] and
 //! every pending event, tagged with its destination, on one
-//! [`EventQueue`]. Each instant's events pop as one batch, and each
-//! run of consecutive events for the same actor is handed to that
-//! actor's [`Component::on_batch`].
+//! [`EventQueue`]. Events pop one at a time, each handed to its
+//! actor's [`Component::on_event`].
 //!
 //! # What decides pop order
 //!
@@ -117,8 +116,6 @@ pub struct World<C: Component> {
     actors: Vec<Actor<C>>,
     queue: EventQueue<(ActorId, C::Event)>,
     floor: SimDuration,
-    /// Force one-event-at-a-time dispatch (differential-test hook).
-    stepped: bool,
 }
 
 impl<C: Component> World<C> {
@@ -145,19 +142,7 @@ impl<C: Component> World<C> {
                 .collect(),
             queue: EventQueue::new(),
             floor,
-            stepped: false,
         }
-    }
-
-    /// Forces every dispatch through [`Component::on_event`] one event
-    /// at a time, suppressing `on_batch` overrides.
-    ///
-    /// This is the reference side of the batch==singleton differential
-    /// tests: a world run with stepped dispatch must produce
-    /// byte-identical output to the default batched dispatch, because
-    /// `on_batch` is only allowed to amortize — never to reorder.
-    pub fn set_stepped_dispatch(&mut self, stepped: bool) {
-        self.stepped = stepped;
     }
 
     /// Runs `f` over `actor`'s component with a [`Scheduler`] pinned to
@@ -173,25 +158,8 @@ impl<C: Component> World<C> {
     /// Runs the world until no event is pending. A component's
     /// [`halt`](Scheduler::halt) does not stop it.
     pub fn run(&mut self) {
-        let mut batch = Vec::new();
-        let mut payloads = Vec::new();
-        while let Some(now) = self.queue.pop_same_instant(&mut batch) {
-            let mut events = batch.drain(..).peekable();
-            while let Some((dst, ev)) = events.next() {
-                if self.stepped {
-                    self.dispatch(dst, now, |c, sched| c.on_event(now, ev, sched));
-                    continue;
-                }
-                // Same-destination events are adjacent in pop order
-                // only when their keys are, so runs are found on the
-                // fly; `on_batch` must keep per-event order.
-                payloads.push(ev);
-                while let Some((_, ev)) = events.next_if(|(d, _)| *d == dst) {
-                    payloads.push(ev);
-                }
-                self.dispatch(dst, now, |c, sched| c.on_batch(now, &mut payloads, sched));
-                payloads.clear();
-            }
+        while let Some((now, (dst, ev))) = self.queue.pop() {
+            self.dispatch(dst, now, |c, sched| c.on_event(now, ev, sched));
         }
     }
 
@@ -325,29 +293,6 @@ mod tests {
             .map(|i| Relay::new(vec![ActorId((i + 1) % n_actors)], sends))
             .collect();
         World::new(FLOOR, actors)
-    }
-
-    /// Per actor: every dispatched `(now, me, v)`, and every cross-actor
-    /// arrival.
-    type RingHistory = Vec<(Vec<(u64, u32, u64)>, Vec<Arrival>)>;
-
-    fn run_ring_world(mut w: World<Relay>) -> RingHistory {
-        w.seed(ActorId(0), |r, sched| {
-            send_tagged(&mut r.sent, sched, r.peers[0], SimTime::ZERO, 0);
-        });
-        w.run();
-        w.into_actors()
-            .into_iter()
-            .map(|r| (r.got, r.arrivals))
-            .collect()
-    }
-
-    #[test]
-    fn stepped_dispatch_matches_batched_dispatch() {
-        let reference = run_ring_world(ring_world(5, 5));
-        let mut w = ring_world(5, 5);
-        w.set_stepped_dispatch(true);
-        assert_eq!(run_ring_world(w), reference);
     }
 
     #[test]

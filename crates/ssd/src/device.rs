@@ -21,29 +21,6 @@ use crate::metrics::SsdMetrics;
 use crate::power::EnergyLedger;
 use crate::topology::{LaneId, Topology};
 
-/// One host command in the slice-based batch interface
-/// ([`Ssd::execute_batch`]): what the NVMe controller fetches per
-/// doorbell, stripped to the fields the device model consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SsdCommand {
-    /// Read `len` bytes at byte `offset`.
-    Read {
-        /// Byte offset of the read.
-        offset: u64,
-        /// Length in bytes.
-        len: u32,
-    },
-    /// Write `len` bytes at byte `offset`.
-    Write {
-        /// Byte offset of the write.
-        offset: u64,
-        /// Length in bytes.
-        len: u32,
-    },
-    /// Flush all buffered program rows.
-    Flush,
-}
-
 /// Outcome of one device command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceCompletion {
@@ -303,18 +280,9 @@ impl Ssd {
     ///
     /// Panics if the range exceeds the device capacity or `len` is zero.
     pub fn read(&mut self, at: SimTime, offset: u64, len: u32) -> DeviceCompletion {
-        let (c, nunits) = self.read_inner(at, offset, len);
+        let (first, nunits) = self.unit_range(offset, len);
         self.metrics.host_reads += 1;
         self.metrics.read_units += nunits;
-        c
-    }
-
-    /// [`read`](Self::read) minus the per-command host counters, which
-    /// [`execute_batch`](Self::execute_batch) accumulates across the
-    /// whole slice and flushes once. Returns the unit count so the
-    /// caller can do that accumulation.
-    fn read_inner(&mut self, at: SimTime, offset: u64, len: u32) -> (DeviceCompletion, u64) {
-        let (first, nunits) = self.unit_range(offset, len);
         self.energy.add(at, self.cfg.power.host_read_nj);
 
         let ctrl = self.controller.reserve(at, self.cfg.controller_per_op);
@@ -399,15 +367,12 @@ impl Ssd {
             dma: done.saturating_since(ready),
             write_drain: SimDuration::ZERO,
         };
-        (
-            DeviceCompletion {
-                done,
-                dram_hit: !any_flash,
-                suspended,
-                gc_stalled,
-            },
-            nunits,
-        )
+        DeviceCompletion {
+            done,
+            dram_hit: !any_flash,
+            suspended,
+            gc_stalled,
+        }
     }
 
     /// Draws the ECC-marginal lottery for one flash read: `0` on the
@@ -498,16 +463,9 @@ impl Ssd {
     ///
     /// Panics if the range exceeds the device capacity or `len` is zero.
     pub fn write(&mut self, at: SimTime, offset: u64, len: u32) -> DeviceCompletion {
-        let (c, nunits) = self.write_inner(at, offset, len);
+        let (first, nunits) = self.unit_range(offset, len);
         self.metrics.host_writes += 1;
         self.metrics.write_units += nunits;
-        c
-    }
-
-    /// [`write`](Self::write) minus the per-command host counters (see
-    /// [`read_inner`](Self::read_inner)).
-    fn write_inner(&mut self, at: SimTime, offset: u64, len: u32) -> (DeviceCompletion, u64) {
-        let (first, nunits) = self.unit_range(offset, len);
         self.energy.add(at, self.cfg.power.host_write_nj);
 
         let ctrl = self.controller.reserve(at, self.cfg.controller_per_op);
@@ -589,83 +547,12 @@ impl Ssd {
             dma: data_in.saturating_since(t0),
             write_drain: done.saturating_since(data_in),
         };
-        (
-            DeviceCompletion {
-                done,
-                dram_hit: true,
-                suspended: false,
-                gc_stalled,
-            },
-            nunits,
-        )
-    }
-
-    /// Executes a slice of same-doorbell commands, in order, with one
-    /// device borrow and one host-counter metrics flush for the whole
-    /// batch — the slice-based pipeline the NVMe controller drains a
-    /// doorbell through.
-    ///
-    /// Per-command ordering is bit-for-bit the [`read`](Self::read)/
-    /// [`write`](Self::write)/[`flush`](Self::flush) loop: every
-    /// resource reservation, cache mutation, energy charge and RNG draw
-    /// happens in the same sequence, and only the order-insensitive
-    /// `u64` host counters are accumulated outside the loop (addition
-    /// is associative on integers; the energy ledger's `f64` sums stay
-    /// inline because theirs is not). One [`DeviceCompletion`] is
-    /// pushed to `out` per command; with `spans`, the per-command
-    /// critical-path [`DeviceSpan`] is pushed alongside (the flush span
-    /// charges the whole wait to the program-drain bucket, as the probe
-    /// layer expects).
-    pub fn execute_batch(
-        &mut self,
-        at: SimTime,
-        cmds: &[SsdCommand],
-        out: &mut Vec<DeviceCompletion>,
-        mut spans: Option<&mut Vec<DeviceSpan>>,
-    ) {
-        let mut host_reads = 0u64;
-        let mut host_writes = 0u64;
-        let mut read_units = 0u64;
-        let mut write_units = 0u64;
-        for cmd in cmds {
-            let completion = match *cmd {
-                SsdCommand::Read { offset, len } => {
-                    let (c, n) = self.read_inner(at, offset, len);
-                    host_reads += 1;
-                    read_units += n;
-                    c
-                }
-                SsdCommand::Write { offset, len } => {
-                    let (c, n) = self.write_inner(at, offset, len);
-                    host_writes += 1;
-                    write_units += n;
-                    c
-                }
-                SsdCommand::Flush => {
-                    let done = self.flush(at);
-                    // Flush has no per-die critical path; the span
-                    // charges the whole wait to the program drain.
-                    let mut s = DeviceSpan::empty(at);
-                    s.done = done;
-                    s.write_drain = done.saturating_since(at);
-                    self.last_span = s;
-                    DeviceCompletion {
-                        done,
-                        dram_hit: false,
-                        suspended: false,
-                        gc_stalled: false,
-                    }
-                }
-            };
-            if let Some(s) = spans.as_deref_mut() {
-                s.push(self.last_span);
-            }
-            out.push(completion);
+        DeviceCompletion {
+            done,
+            dram_hit: true,
+            suspended: false,
+            gc_stalled,
         }
-        self.metrics.host_reads += host_reads;
-        self.metrics.host_writes += host_writes;
-        self.metrics.read_units += read_units;
-        self.metrics.write_units += write_units;
     }
 
     /// Adds a unit to its lane's open program row, flushing full or stale
@@ -771,67 +658,6 @@ impl Ssd {
 mod tests {
     use super::*;
     use crate::presets;
-
-    #[test]
-    fn execute_batch_matches_singleton_calls_bitwise() {
-        // Differential contract of the slice interface: the same seeded
-        // command mix through `execute_batch` and through one-at-a-time
-        // `read`/`write`/`flush` calls must agree on every completion,
-        // every span, the metrics counters, and the energy ledger.
-        let mut rng = SplitMix64::new(0xBA7C);
-        let mut cmds = Vec::new();
-        for _ in 0..300 {
-            let off = (rng.next_u64() % 4096) * 4096;
-            let len = 4096 * (1 + (rng.next_u64() % 4) as u32);
-            cmds.push(match rng.next_u64() % 8 {
-                0..=3 => SsdCommand::Read { offset: off, len },
-                4..=6 => SsdCommand::Write { offset: off, len },
-                _ => SsdCommand::Flush,
-            });
-        }
-        let mut batched = Ssd::new(presets::ull_800g()).expect("preset");
-        let mut stepped = Ssd::new(presets::ull_800g()).expect("preset");
-        let mut b_comps = Vec::new();
-        let mut b_spans = Vec::new();
-        // Varied batch sizes, all at one submission instant per batch,
-        // exactly like a doorbell fetch.
-        let t = SimTime::from_micros(3);
-        for chunk in cmds.chunks(7) {
-            batched.execute_batch(t, chunk, &mut b_comps, Some(&mut b_spans));
-        }
-        let mut s_comps = Vec::new();
-        let mut s_spans = Vec::new();
-        for cmd in &cmds {
-            let c = match *cmd {
-                SsdCommand::Read { offset, len } => stepped.read(t, offset, len),
-                SsdCommand::Write { offset, len } => stepped.write(t, offset, len),
-                SsdCommand::Flush => {
-                    let done = stepped.flush(t);
-                    let mut s = DeviceSpan::empty(t);
-                    s.done = done;
-                    s.write_drain = done.saturating_since(t);
-                    stepped.last_span = s;
-                    DeviceCompletion {
-                        done,
-                        dram_hit: false,
-                        suspended: false,
-                        gc_stalled: false,
-                    }
-                }
-            };
-            s_comps.push(c);
-            s_spans.push(stepped.last_span());
-        }
-        assert_eq!(b_comps, s_comps);
-        assert_eq!(b_spans, s_spans);
-        assert_eq!(batched.metrics(), stepped.metrics());
-        let horizon = SimTime::from_micros(50_000);
-        assert_eq!(
-            batched.energy().average_power(horizon).to_bits(),
-            stepped.energy().average_power(horizon).to_bits(),
-            "energy ledger must be bit-identical"
-        );
-    }
 
     #[test]
     fn zero_rate_plan_is_bitwise_nominal() {

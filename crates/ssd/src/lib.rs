@@ -47,7 +47,7 @@ pub use config::{
     ConfigError, GcPolicy, PowerParams, ReadCachePolicy, SsdConfig, SsdConfigBuilder, TailEvent,
     MAP_UNIT_BYTES,
 };
-pub use device::{DeviceCompletion, Ssd, SsdCommand};
+pub use device::{DeviceCompletion, Ssd};
 pub use ftl::{Ftl, GcWork, Placement, Ppa, ProgramFailRecovery, TableBytes, WearConfig};
 pub use metrics::SsdMetrics;
 pub use power::{nj_over, EnergyLedger};

@@ -63,38 +63,6 @@ impl AsyncPort {
         Some((op, host.finish_async(token, device)))
     }
 
-    /// Warms the in-flight slab's cache lines for an upcoming burst of
-    /// [`finish`](Self::finish) calls (see [`Slab::prefetch`]).
-    /// Observation-free: no port or host state changes.
-    pub fn prefetch(&self, slots: &[SlotId]) {
-        self.in_flight.prefetch(slots);
-    }
-
-    /// Batch variant of [`finish`](Self::finish): warms the slab lines
-    /// for the whole burst up front, then drains `slots` in order,
-    /// calling `each(port, host, op, result)` per finished request.
-    /// Slots not (or no longer) in flight are skipped.
-    ///
-    /// The callback receives the port and host back so it can submit
-    /// replacement I/O *between* finishes — the closed loop's
-    /// finish/submit interleaving is observable (driver-tag recycling,
-    /// CQE consumption), so the batch path must preserve it exactly
-    /// rather than finishing the burst wholesale.
-    pub fn finish_batch(
-        &mut self,
-        host: &mut Host,
-        slots: &mut Vec<SlotId>,
-        mut each: impl FnMut(&mut Self, &mut Host, IoOp, IoResult),
-    ) {
-        self.in_flight.prefetch(slots);
-        for slot in slots.drain(..) {
-            if let Some((token, op, device)) = self.in_flight.remove(slot) {
-                let r = host.finish_async(token, device);
-                each(self, host, op, r);
-            }
-        }
-    }
-
     /// Requests currently in flight through this port.
     pub fn len(&self) -> usize {
         self.in_flight.len()
@@ -133,41 +101,6 @@ mod tests {
         assert!(r.user_visible >= done);
         assert!(port.is_empty());
         assert!(port.finish(&mut h, slot).is_none(), "slot finishes once");
-    }
-
-    #[test]
-    fn finish_batch_matches_singleton_finishes_bitwise() {
-        // The batch path (prefetch + in-order drain) must reproduce the
-        // one-at-a-time finish sequence exactly, including an
-        // interleaved resubmit issued from the callback.
-        let run = |batched: bool| -> Vec<(IoOp, crate::IoResult)> {
-            let mut h = host();
-            let mut port = AsyncPort::with_capacity(8);
-            let mut slots = Vec::new();
-            for i in 0..6u64 {
-                let (slot, _) = port.submit(&mut h, IoOp::Read, i * 4096, 4096, SimTime::ZERO);
-                slots.push(slot);
-            }
-            let mut out = Vec::new();
-            let resub = SimTime::from_micros(500);
-            if batched {
-                let mut burst = slots.clone();
-                port.finish_batch(&mut h, &mut burst, |port, host, op, r| {
-                    // One replacement per completion, like the closed loop.
-                    port.submit(host, IoOp::Write, 0, 4096, resub);
-                    out.push((op, r));
-                });
-                assert!(burst.is_empty(), "finish_batch drains the burst");
-            } else {
-                for &slot in &slots {
-                    let (op, r) = port.finish(&mut h, slot).unwrap();
-                    port.submit(&mut h, IoOp::Write, 0, 4096, resub);
-                    out.push((op, r));
-                }
-            }
-            out
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

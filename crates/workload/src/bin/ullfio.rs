@@ -135,11 +135,16 @@ fn parse_args() -> Args {
     } else if args.path == IoPath::Spdk {
         args.engine = Engine::SpdkPlugin;
     }
-    // Every in-flight request holds a driver tag per split part, so an
-    // asynchronous engine's depth must fit the tag set; `pvsync2` keeps
-    // one request in flight whatever the depth.
-    let tags = u64::from(args.iodepth) * u64::from(args.bs.div_ceil(Host::MAX_TRANSFER));
-    if args.engine != Engine::Pvsync2 && tags > u64::from(Host::TAGS) {
+    // Every in-flight request holds a driver tag per split part, so the
+    // engine's depth must fit the tag set; `pvsync2` keeps one request
+    // in flight whatever the depth.
+    let depth = if args.engine == Engine::Pvsync2 {
+        1
+    } else {
+        args.iodepth
+    };
+    let tags = u64::from(depth) * u64::from(args.bs.div_ceil(Host::MAX_TRANSFER));
+    if tags > u64::from(Host::TAGS) {
         usage();
     }
     args

@@ -157,40 +157,16 @@ struct AsyncLoop<'a> {
     submitted: u64,
 }
 
-/// Submits the next I/O of `stream` at `at` and schedules its completion
-/// event (FIFO-keyed, exactly like the pre-component loop's
-/// `events.schedule`). A free function over the loop's parts so the
-/// batch path — where the port is borrowed by
-/// [`AsyncPort::finish_batch`] — shares one definition with
-/// [`AsyncLoop::submit`].
-fn submit_one(
-    port: &mut AsyncPort,
-    host: &mut Host,
-    stream: &mut AddressStream,
-    spec: &JobSpec,
-    submitted: &mut u64,
-    at: SimTime,
-    sched: &mut Scheduler<'_, SlotId>,
-) {
-    let (op, offset) = stream.next_io();
-    let (slot, done) = port.submit(host, op, offset, spec.block_size, at);
-    sched.at(done, slot);
-    *submitted += 1;
-}
-
 impl AsyncLoop<'_> {
     /// Submits the next I/O of the stream at `at` and schedules its
-    /// completion event.
+    /// completion event (FIFO-keyed).
     fn submit(&mut self, at: SimTime, sched: &mut Scheduler<'_, SlotId>) {
-        submit_one(
-            &mut self.port,
-            self.host,
-            self.stream,
-            self.spec,
-            &mut self.submitted,
-            at,
-            sched,
-        );
+        let (op, offset) = self.stream.next_io();
+        let (slot, done) = self
+            .port
+            .submit(self.host, op, offset, self.spec.block_size, at);
+        sched.at(done, slot);
+        self.submitted += 1;
     }
 }
 
@@ -212,42 +188,6 @@ impl Component for AsyncLoop<'_> {
         if self.submitted < self.spec.ios {
             self.submit(r.user_visible + self.spec.think_time, sched);
         }
-    }
-
-    /// Same-instant completion bursts arrive as one slice: the port
-    /// prefetches every slot's slab lines up front, then each
-    /// completion runs the identical finish → record → resubmit
-    /// sequence in event order. Replacement I/O lands strictly in the
-    /// future (`user_visible + think_time > now`), so a resubmit can
-    /// never join the batch being drained — the slice is closed.
-    fn on_batch(
-        &mut self,
-        _now: SimTime,
-        batch: &mut Vec<SlotId>,
-        sched: &mut Scheduler<'_, SlotId>,
-    ) {
-        let AsyncLoop {
-            host,
-            spec,
-            stream,
-            rec,
-            port,
-            submitted,
-        } = self;
-        port.finish_batch(host, batch, |port, host, op, r| {
-            rec.record(op, r.submitted, r.latency, spec.block_size, r.user_visible);
-            if *submitted < spec.ios {
-                submit_one(
-                    port,
-                    host,
-                    stream,
-                    spec,
-                    submitted,
-                    r.user_visible + spec.think_time,
-                    sched,
-                );
-            }
-        });
     }
 }
 
@@ -340,47 +280,6 @@ mod tests {
     fn engine_path_mismatch_panics() {
         let mut h = host(IoPath::KernelInterrupt);
         run_job(&mut h, &JobSpec::new("bad").engine(Engine::SpdkPlugin));
-    }
-
-    #[test]
-    fn batched_engine_loop_matches_unbatched_bitwise() {
-        // Differential contract of `AsyncLoop::on_batch`: suppressing it
-        // (every completion delivered one at a time through `on_event`)
-        // must reproduce the batched report byte-for-byte. Deep queue +
-        // zero think time maximizes same-instant completion bursts.
-        let spec = JobSpec::new("diff")
-            .engine(Engine::Libaio)
-            .pattern(Pattern::Random)
-            .iodepth(32)
-            .ios(3000)
-            .seed(42);
-        let mut h = host(IoPath::KernelInterrupt);
-        let batched = run_job(&mut h, &spec);
-
-        let mut h = host(IoPath::KernelInterrupt);
-        let capacity = h.controller().ssd().capacity_bytes();
-        let mut stream = AddressStream::new(&spec, capacity);
-        let mut rec = Recorder::new(&spec);
-        let mut engine: EngineLoop<SlotId> = EngineLoop::new();
-        let mut comp = ull_simkit::Unbatched(AsyncLoop {
-            host: &mut h,
-            spec: &spec,
-            stream: &mut stream,
-            rec: &mut rec,
-            port: AsyncPort::with_capacity(spec.iodepth as usize),
-            submitted: 0,
-        });
-        let prime = spec.ios.min(spec.iodepth as u64);
-        engine.with_scheduler(SimTime::ZERO, |sched| {
-            for _ in 0..prime {
-                comp.0.submit(SimTime::ZERO, sched);
-            }
-        });
-        engine.run(&mut comp);
-        drop(comp);
-        let unbatched = rec.finish(&mut h, &spec);
-
-        assert_eq!(format!("{batched:?}"), format!("{unbatched:?}"));
     }
 
     #[test]

@@ -294,10 +294,10 @@ pub fn replay(host: &mut Host, ops: &[TraceOp]) -> Result<TraceReport, ParseTrac
         stalled: false,
     };
     engine.with_scheduler(SimTime::ZERO, |sched| comp.schedule_submit(sched));
-    // Stepped dispatch: a submit handler may emit the *next* submit at
-    // the current instant, and it must interleave with already-pending
-    // same-instant completions by key — batch draining would reorder.
-    engine.run_stepped(&mut comp);
+    // A submit handler may emit the *next* submit at the current
+    // instant; `run` dispatches one event at a time, so it interleaves
+    // with already-pending same-instant completions by key.
+    engine.run(&mut comp);
     Ok(TraceReport {
         completed: comp.completed,
         latency: comp.latency,

@@ -37,6 +37,10 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
             "256",
         ],
         &["--engine", "spdk", "--iodepth", "1025"],
+        // Block sizes whose parts alone outnumber the tags, under the
+        // default `pvsync2` engine's single in-flight request.
+        &["--bs", "536870912"],
+        &["--bs", "4294963200"],
     ] {
         let (code, stderr) = ullfio(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -54,6 +58,10 @@ fn depths_that_fill_the_driver_tags_exactly_still_run() {
         let (code, stderr) = ullfio(&[&["--engine", "libaio"][..], &args].concat());
         assert_eq!(code, Some(0), "{args:?}: {stderr}");
     }
+    // One request of the default `pvsync2` engine split into exactly
+    // 1,024 parts.
+    let (code, stderr) = ullfio(&["--bs", "134217728", "--ios", "2"]);
+    assert_eq!(code, Some(0), "{stderr}");
 }
 
 #[test]

@@ -149,8 +149,8 @@ fn event_queue_fifo_survives_interleaving() {
 /// keyed and unkeyed schedules (keys drawn from the range the seqs
 /// occupy, so the two kinds tie and interleave), same-instant bursts,
 /// schedules behind the last popped instant, and far-future ones; the
-/// pops cover `pop`, `peek`, `pop_if_before` at bounds on either side of
-/// the head, and `pop_same_instant_until` at, below and above it.
+/// pops cover `pop`, `peek`, and `pop_if_before` at bounds on either
+/// side of the head.
 #[test]
 fn event_queue_matches_sorted_reference() {
     /// Pops the reference's minimum `(at, key, seq)` entry.
@@ -218,7 +218,7 @@ fn event_queue_matches_sorted_reference() {
                 if let Some((t, _)) = want {
                     now = t.as_nanos();
                 }
-            } else if op < 85 {
+            } else {
                 // pop_if_before at, just above or just below the head.
                 let head = model.iter().map(|e| e.0).min().unwrap_or(0);
                 let t = match rng.below(3) {
@@ -238,37 +238,6 @@ fn event_queue_matches_sorted_reference() {
                 );
                 if let Some((t, _)) = want {
                     now = t.as_nanos();
-                }
-            } else {
-                // pop_same_instant_until at, above or below the head,
-                // or unbounded (pop_same_instant).
-                let head = model.iter().map(|e| e.0).min().unwrap_or(0);
-                let bound = match rng.below(4) {
-                    0 => Some(head),
-                    1 => Some(head + 1 + rng.below(1_000)),
-                    2 => Some(head.saturating_sub(1)),
-                    _ => None,
-                };
-                let due = !model.is_empty() && bound.is_none_or(|b| head <= b);
-                let mut want = Vec::new();
-                if due {
-                    while model.iter().any(|e| e.0 == head) {
-                        want.extend(pop_min(&mut model).map(|e| e.3));
-                    }
-                }
-                let mut got = Vec::new();
-                let t = match bound {
-                    Some(b) => q.pop_same_instant_until(SimTime::from_nanos(b), &mut got),
-                    None => q.pop_same_instant(&mut got),
-                };
-                assert_eq!(
-                    t,
-                    due.then_some(SimTime::from_nanos(head)),
-                    "seed {seed} step {step}"
-                );
-                assert_eq!(got, want, "seed {seed} step {step}");
-                if due {
-                    now = head;
                 }
             }
             assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
@@ -396,10 +365,10 @@ fn timing_wheel_far_future_promotion_preserves_order() {
     }
 }
 
-/// `pop_if_before` and `pop_same_instant` agree with the plain pop order
-/// the engine loops rely on: `pop_if_before(t)` yields exactly the events
-/// strictly before `t`, and `pop_same_instant` drains exactly one
-/// instant's FIFO batch. The reference is the sorted `(time, id)` list.
+/// `pop_if_before` agrees with the plain pop order the engine loops rely
+/// on: `pop_if_before(t)` yields exactly the events strictly before `t`,
+/// and `pop` then yields the rest. The reference is the sorted
+/// `(time, id)` list.
 #[test]
 fn timing_wheel_conditional_pops_match_reference() {
     for seed in SEEDS {
@@ -420,13 +389,9 @@ fn timing_wheel_conditional_pops_match_reference() {
             assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
         }
         assert!(wheel.peek_time().is_none_or(|t| t >= cutoff));
-        // Drain the rest one instant at a time via pop_same_instant.
-        let mut batch = Vec::new();
-        while let Some(t) = wheel.pop_same_instant(&mut batch) {
-            for &id in &batch {
-                assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
-            }
-            batch.clear();
+        // Drain the rest via pop.
+        while let Some((t, id)) = wheel.pop() {
+            assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
         }
         assert!(reference.next().is_none(), "seed {seed}: wheel lost events");
     }
