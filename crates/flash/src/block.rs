@@ -45,7 +45,7 @@ pub enum BlockPhase {
 /// b.erase();
 /// assert_eq!(b.phase(), BlockPhase::Free);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockState {
     /// One tag per page, empty until the first program.
     tags: Vec<u32>,
@@ -57,12 +57,12 @@ pub struct BlockState {
     bad: bool,
 }
 
-/// `n` zero tags, every one written here. A zeroed allocation would be
-/// resident only where touched or in full depending on what the process
-/// allocated before, so the fill value is kept opaque to the optimizer,
-/// which would otherwise turn it back into one.
-fn unwritten_tags(n: u32) -> Vec<u32> {
-    std::iter::repeat_n(std::hint::black_box(0), n as usize).collect()
+/// `n` zero tags, every one written by whoever collects them. A zeroed
+/// allocation would be resident only where touched or in full depending
+/// on what the process allocated before, so the fill value is kept opaque
+/// to the optimizer, which would otherwise turn it back into one.
+fn unwritten_tags(n: u32) -> std::iter::RepeatN<u32> {
+    std::iter::repeat_n(std::hint::black_box(0), n as usize)
 }
 
 impl BlockState {
@@ -108,13 +108,37 @@ impl BlockState {
             return None;
         }
         if self.tags.is_empty() {
-            self.tags = unwritten_tags(self.pages);
+            self.tags = unwritten_tags(self.pages).collect();
         }
         let p = self.next_page;
         self.tags[p as usize] = tag.get();
         self.next_page += 1;
         self.valid_count += 1;
         Some(p)
+    }
+
+    /// Programs the next `tags.len()` pages with `tags` in one go, as that
+    /// many [`BlockState::append`]s would, returning the first page index
+    /// written. Returns `None`, programming nothing, for an empty run or
+    /// one the block's free pages cannot hold (a bad block has none). A
+    /// block's first program allocates its tags from the run followed by
+    /// the unwritten rest, so no page is written twice.
+    pub fn program_run(&mut self, tags: impl ExactSizeIterator<Item = NonZeroU32>) -> Option<u32> {
+        let count = u32::try_from(tags.len())
+            .ok()
+            .filter(|&n| n > 0 && n <= self.free_pages())?;
+        let first = self.next_page;
+        let tags = tags.map(NonZeroU32::get);
+        if self.tags.is_empty() {
+            self.tags = tags.chain(unwritten_tags(self.pages - count)).collect();
+        } else {
+            for (t, tag) in self.tags[first as usize..].iter_mut().zip(tags) {
+                *t = tag;
+            }
+        }
+        self.next_page += count;
+        self.valid_count += count;
+        Some(first)
     }
 
     /// Marks a previously written page invalid (its data was overwritten or
@@ -238,6 +262,28 @@ mod tests {
         assert_eq!(b.tag(p), Some(tag(41)));
         assert_eq!(b.tag(p + 1), None, "unwritten pages carry no tag");
         assert_eq!(b.tag(8), None, "pages past the block carry no tag");
+    }
+
+    #[test]
+    fn a_run_programs_what_its_appends_would() {
+        let tags: Vec<_> = (0..5).map(|i| tag(10 + 3 * i)).collect();
+        let mut run = BlockState::new(8);
+        let mut appended = BlockState::new(8);
+        assert_eq!(run.program_run(tags[..3].iter().copied()), Some(0));
+        assert_eq!(run.program_run(tags[3..].iter().copied()), Some(3));
+        for &t in &tags {
+            appended.append(t);
+        }
+        assert_eq!(run, appended);
+        assert_eq!(run.tag_bytes(), 8 * 4);
+        // Runs the free pages cannot hold, and empty ones, program nothing.
+        assert_eq!(run.program_run(tags[..4].iter().copied()), None);
+        assert_eq!(run.program_run(std::iter::empty()), None);
+        assert_eq!(run, appended);
+        let mut bad = BlockState::new(8);
+        bad.mark_bad();
+        assert_eq!(bad.program_run(tags[..1].iter().copied()), None);
+        assert_eq!(bad.tag_bytes(), 0, "a refused run allocates nothing");
     }
 
     #[test]

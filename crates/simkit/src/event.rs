@@ -140,27 +140,10 @@ impl<E> EventQueue<E> {
             .map(|e| (SimTime::from_nanos(e.at), e.payload))
     }
 
-    /// The earliest pending event's time and a reference to its
-    /// payload, without removing it.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap
-            .peek()
-            .map(|e| (SimTime::from_nanos(e.at), &e.payload))
-    }
-
     /// The firing time of the earliest pending event.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| SimTime::from_nanos(e.at))
-    }
-
-    /// Pops the earliest event only if it fires strictly before `t`.
-    pub fn pop_if_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? < t {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Number of pending events.
@@ -233,7 +216,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(3), 'b');
         q.schedule(SimTime::from_nanos(1), 'a');
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
-        assert_eq!(q.peek(), Some((SimTime::from_nanos(1), &'a')));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         q.pop();
@@ -249,24 +231,5 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), "past");
         assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "past")));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(5000), "ahead")));
-    }
-
-    #[test]
-    fn pop_if_before_pops_only_strictly_earlier_events() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), 'a');
-        q.schedule(SimTime::from_nanos(10), 'b');
-        q.schedule(SimTime::from_nanos(20), 'c');
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(10)), None);
-        assert_eq!(
-            q.pop_if_before(SimTime::from_nanos(11)),
-            Some((SimTime::from_nanos(10), 'a'))
-        );
-        assert_eq!(
-            q.pop_if_before(SimTime::from_nanos(11)),
-            Some((SimTime::from_nanos(10), 'b'))
-        );
-        assert_eq!(q.pop_if_before(SimTime::from_nanos(11)), None);
-        assert_eq!(q.len(), 1);
     }
 }

@@ -101,7 +101,11 @@ impl WriteBuffer {
         self.admitted
     }
 
-    /// Slots currently accounted busy (upper bound; lazily trimmed).
+    /// Slot releases held: one per retired unit until an admission into
+    /// a full buffer takes the earliest. Nothing else trims them, so once
+    /// `capacity` units have retired this stays at `capacity`, releases
+    /// already past included (one less from such an admission until its
+    /// unit retires).
     pub fn in_flight(&self) -> usize {
         self.releases.len()
     }

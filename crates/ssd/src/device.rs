@@ -248,9 +248,7 @@ impl Ssd {
     /// charging any time — used to precondition GC experiments exactly like
     /// the paper ("writing the entire address range" before measuring).
     pub fn precondition_full(&mut self) {
-        for lpn in 0..self.cfg.logical_units() {
-            let _ = self.ftl.append(lpn);
-        }
+        self.ftl.fill_sequential(self.cfg.logical_units());
         self.metrics = SsdMetrics::default();
     }
 

@@ -99,7 +99,7 @@ pub struct ProgramFailRecovery {
     pub deferred: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Lane {
     blocks: Vec<BlockState>,
     free: Vec<u32>,
@@ -111,7 +111,7 @@ struct Lane {
     victim: Option<Victim>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Victim {
     block: u32,
     /// Slots not yet examined for migration.
@@ -257,7 +257,10 @@ impl TableBytes {
 /// let (placement, _gc) = ftl.append(0);
 /// assert_eq!(ftl.lookup(0), Some(placement.ppa));
 /// ```
-#[derive(Debug)]
+///
+/// Two FTLs compare equal when every table, append point, free list,
+/// counter and policy agrees.
+#[derive(Debug, PartialEq)]
 pub struct Ftl {
     /// lpn -> packed `lane | block | slot` address + 1; 0 is unmapped. A
     /// directory of `CHUNK_ENTRIES`-entry chunks over the physical space,
@@ -459,6 +462,94 @@ impl Ftl {
         // Nothing obviously reclaimable anywhere: fall through so append_on
         // raises the GC-deadlock diagnostic.
         self.append_on(LaneId(start), lpn)
+    }
+
+    /// Writes lpns `0..units` in order, leaving exactly the state that
+    /// `append(0)`, …, `append(units - 1)` leave. With `L` lanes of `B`
+    /// blocks of `U` units, lpn `i` lands on lane `i mod L`, in slot
+    /// `(i div L) mod U` of the `(i div L) div U`-th block that lane
+    /// opens, with no GC work, since nothing is invalid.
+    ///
+    /// On a fresh FTL whose lanes' shares each fit in `B - 2` blocks (so
+    /// every rotation leaves the one-block GC reserve and no lane is ever
+    /// skipped), it writes the tables in two streaming passes: each
+    /// lane's blocks' tags, then the forward map chunk by chunk. Any other
+    /// FTL or length takes the appends one lpn at a time.
+    pub fn fill_sequential(&mut self, units: u64) {
+        if !self.fill_is_exact(units) {
+            for lpn in 0..units {
+                self.append(lpn);
+            }
+            return;
+        }
+        let lanes = self.lanes.len() as u64;
+        let units_per_block = self.units_per_block;
+        // Lane `l` holds every `lanes`-th lpn from `l` on. It starts on
+        // block 0 and rotates lazily, as `try_place_with_reserve` does:
+        // only when another unit needs a page, so a share ending on a
+        // block boundary keeps its full block open.
+        for (l, lane) in (0..lanes).zip(&mut self.lanes) {
+            let mut lpn = l;
+            let mut share = units / lanes + u64::from(l < units % lanes);
+            while share > 0 {
+                if lane.blocks[lane.open as usize].free_pages() == 0 {
+                    let Some(next) = lane.free.pop() else { break };
+                    lane.open = next;
+                }
+                let run = share.min(units_per_block.into()) as u32;
+                let tags = (0..run).map(|s| tag_of(lpn + u64::from(s) * lanes));
+                let _ = lane.blocks[lane.open as usize].program_run(tags);
+                lpn += u64::from(run) * lanes;
+                share -= u64::from(run);
+            }
+        }
+        self.next_lane = (units % lanes) as u32;
+        // The forward map in lpn order, from running counters. A lane
+        // opens blocks 0, 2, 3, … (its initial free list pops 2 first,
+        // and block 1 is the GC destination); the entries past `units`
+        // in the last chunk are unmapped, written out like a fresh
+        // chunk's.
+        let lanes = lanes as u32;
+        let (slot_bits, lane_shift) = (self.slot_bits, self.slot_bits + self.block_bits);
+        let (mut lane, mut block, mut slot, mut left) = (0u32, 0u32, 0u32, units);
+        let chunks = units.div_ceil(CHUNK_ENTRIES as u64) as usize;
+        for chunk in self.l2p.iter_mut().take(chunks) {
+            *chunk = Some(Box::new(std::array::from_fn(|_| {
+                if left == 0 {
+                    return std::hint::black_box(0);
+                }
+                left -= 1;
+                let entry = ((lane << lane_shift) | (block << slot_bits) | slot) + 1;
+                lane += 1;
+                if lane == lanes {
+                    lane = 0;
+                    slot += 1;
+                    if slot == units_per_block {
+                        slot = 0;
+                        block = if block == 0 { 2 } else { block + 1 };
+                    }
+                }
+                entry
+            })));
+        }
+    }
+
+    /// Whether [`Ftl::fill_sequential`] may write its tables directly: the
+    /// FTL is fresh (no chunk allocated, the round robin at lane 0, every
+    /// lane at its initial append points and free list, no bad block),
+    /// and the largest share, lane 0's, needs at most `B - 2` blocks.
+    fn fill_is_exact(&self, units: u64) -> bool {
+        let lanes = self.lanes.len() as u64;
+        let blocks = units.div_ceil(lanes).div_ceil(self.units_per_block.into());
+        blocks <= u64::from(self.blocks_per_lane - 2)
+            && self.next_lane == 0
+            && self.l2p.iter().all(Option::is_none)
+            && self.lanes.iter().all(|l| {
+                l.open == 0
+                    && l.gc_open == 1
+                    && l.free.iter().copied().eq((2..self.blocks_per_lane).rev())
+                    && !l.blocks.iter().any(BlockState::is_bad)
+            })
     }
 
     /// Whether a lane can take one more unit without wedging: it has open

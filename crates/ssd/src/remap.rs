@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 /// let phys = r.resolve(7).unwrap();
 /// assert!(phys >= 100);                  // ...now served by a spare
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemapChecker {
     data_blocks: u32,
     spares_total: u32,

@@ -148,9 +148,8 @@ fn event_queue_fifo_survives_interleaving() {
 /// unkeyed schedule's key is its `seq`. Seeded random interleavings mix
 /// keyed and unkeyed schedules (keys drawn from the range the seqs
 /// occupy, so the two kinds tie and interleave), same-instant bursts,
-/// schedules behind the last popped instant, and far-future ones; the
-/// pops cover `pop`, `peek`, and `pop_if_before` at bounds on either
-/// side of the head.
+/// schedules behind the last popped instant, and far-future ones; each
+/// pop checks `peek_time` against the reference's head first.
 #[test]
 fn event_queue_matches_sorted_reference() {
     /// Pops the reference's minimum `(at, key, seq)` entry.
@@ -201,7 +200,7 @@ fn event_queue_matches_sorted_reference() {
                     let key = rng.chance(0.5).then(|| rng.below(seq + 16));
                     schedule(&mut q, &mut model, &mut seq, at, key);
                 }
-            } else if op < 75 {
+            } else {
                 let head = model.iter().map(|&(at, key, s, _)| (at, key, s)).min();
                 assert_eq!(
                     q.peek_time().map(SimTime::as_nanos),
@@ -209,33 +208,7 @@ fn event_queue_matches_sorted_reference() {
                     "seed {seed} step {step}"
                 );
                 let want = pop_min(&mut model).map(|(at, _, _, p)| (SimTime::from_nanos(at), p));
-                assert_eq!(
-                    q.peek().map(|(t, &p)| (t, p)),
-                    want,
-                    "seed {seed} step {step}"
-                );
                 assert_eq!(q.pop(), want, "seed {seed} step {step}");
-                if let Some((t, _)) = want {
-                    now = t.as_nanos();
-                }
-            } else {
-                // pop_if_before at, just above or just below the head.
-                let head = model.iter().map(|e| e.0).min().unwrap_or(0);
-                let t = match rng.below(3) {
-                    0 => head,
-                    1 => head + 1,
-                    _ => head.saturating_sub(1),
-                };
-                let want = if head < t {
-                    pop_min(&mut model).map(|(at, _, _, p)| (SimTime::from_nanos(at), p))
-                } else {
-                    None
-                };
-                assert_eq!(
-                    q.pop_if_before(SimTime::from_nanos(t)),
-                    want,
-                    "seed {seed} step {step}"
-                );
                 if let Some((t, _)) = want {
                     now = t.as_nanos();
                 }
@@ -365,10 +338,9 @@ fn timing_wheel_far_future_promotion_preserves_order() {
     }
 }
 
-/// `pop_if_before` agrees with the plain pop order the engine loops rely
-/// on: `pop_if_before(t)` yields exactly the events strictly before `t`,
-/// and `pop` then yields the rest. The reference is the sorted
-/// `(time, id)` list.
+/// Dense ties (300 events over 64 instants) pop in the sorted
+/// `(time, id)` order the engine loops rely on, every event exactly
+/// once.
 #[test]
 fn timing_wheel_conditional_pops_match_reference() {
     for seed in SEEDS {
@@ -382,14 +354,6 @@ fn timing_wheel_conditional_pops_match_reference() {
         }
         expect.sort(); // (time, id); id order == insertion order
         let mut reference = expect.into_iter();
-        let cutoff = SimTime::from_nanos(32);
-        // Drain [0, cutoff) via pop_if_before.
-        while let Some((t, id)) = wheel.pop_if_before(cutoff) {
-            assert!(t < cutoff, "seed {seed}: popped event at/after cutoff");
-            assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
-        }
-        assert!(wheel.peek_time().is_none_or(|t| t >= cutoff));
-        // Drain the rest via pop.
         while let Some((t, id)) = wheel.pop() {
             assert_eq!(Some((t, id)), reference.next(), "seed {seed}");
         }
@@ -563,7 +527,8 @@ fn cq_phase_tags_exact() {
 
 /// The write buffer never admits more units than its capacity before the
 /// corresponding releases, and admission times are monotone per arrival
-/// order.
+/// order: at each admission, fewer than `cap` earlier units still hold a
+/// slot (a release after that instant).
 #[test]
 fn write_buffer_conserves_slots() {
     for seed in SEEDS {
@@ -571,22 +536,24 @@ fn write_buffer_conserves_slots() {
         let cap = 1 + rng.below(31) as u32;
         let prog_ns = vec_u64(&mut rng, 1, 200, 1, 5000);
         let mut buf = WriteBuffer::new(cap);
-        let mut admitted_before_release = 0u64;
+        let mut releases: Vec<SimTime> = Vec::new();
         let mut last_admit = SimTime::ZERO;
         for (i, &p) in prog_ns.iter().enumerate() {
             let at = SimTime::from_nanos(i as u64 * 10);
             let admit = buf.admit(at, i as u64);
             assert!(admit >= at, "admission cannot precede arrival");
+            assert!(admit >= last_admit, "admission times regress");
+            let held = releases.iter().filter(|&&r| r > admit).count();
             assert!(
-                admit >= last_admit || admit >= at,
-                "admission times regress"
+                held < cap as usize,
+                "seed {seed}: unit {i} admitted into a full buffer"
             );
             last_admit = admit;
+            releases.push(admit + SimDuration::from_nanos(p));
             buf.retire(i as u64, admit + SimDuration::from_nanos(p));
-            admitted_before_release += 1;
         }
-        assert_eq!(buf.admitted(), admitted_before_release);
-        assert!(buf.in_flight() <= prog_ns.len());
+        assert_eq!(buf.admitted(), prog_ns.len() as u64);
+        assert_eq!(buf.in_flight(), prog_ns.len().min(cap as usize));
     }
 }
 
@@ -702,6 +669,149 @@ fn device_tables_grow_only_with_what_a_run_writes() {
     assert_eq!(a.table_bytes.l2p, 3 * 31 * 4096);
     assert!(a.table_bytes.tags > 0);
     assert!(a.table_bytes.total() <= 3 * full_tables);
+}
+
+/// `Ftl::fill_sequential(n)` leaves exactly the FTL that `append(0)`, …,
+/// `append(n - 1)` leave. Every `lookup`, `table_bytes` and the next
+/// write lane agree, and so does every field (`Ftl`'s `PartialEq`: each
+/// block's tags, next page, valid count and wear, each lane's free list
+/// and append points, the GC counters). A seeded overwrite run driven on
+/// both afterwards places every unit alike and does the same GC work,
+/// which a free list in another order would break. The cases cover both
+/// presets, a lane count that does not divide `n`, shares ending on a
+/// block boundary, a share needing exactly `B - 2` blocks, `n` below the
+/// lane count, `n = 0`, and two inputs that take the appends: an FTL
+/// already written, and a share past `B - 2` blocks, where both sides
+/// wedge with the GC-deadlock diagnostic.
+#[test]
+fn sequential_fill_matches_per_lpn_appends() {
+    struct Case {
+        name: &'static str,
+        lanes: u32,
+        blocks: u32,
+        units_per_block: u32,
+        gc: GcPolicy,
+        n: u64,
+        written: &'static [u64],
+        overwrites: u64,
+    }
+    let gc = GcPolicy {
+        low_watermark: 3,
+        units_per_host_write: 2,
+        parallel: false,
+    };
+    let small = |name, (lanes, blocks, units_per_block), n, written| Case {
+        name,
+        lanes,
+        blocks,
+        units_per_block,
+        gc,
+        n,
+        written,
+        overwrites: 40 * u64::from(lanes * blocks * units_per_block),
+    };
+    let preset = |name, cfg: ull_ssd_study::ssd::SsdConfig| {
+        let lanes = Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair()).lanes();
+        let units_per_block = cfg.effective_pages_per_block() * cfg.units_per_row();
+        let physical = Ssd::new(cfg.clone())
+            .expect("valid preset")
+            .physical_units();
+        Case {
+            name,
+            lanes,
+            blocks: (physical / u64::from(lanes * units_per_block)) as u32,
+            units_per_block,
+            gc: cfg.gc,
+            n: cfg.logical_units(),
+            written: &[],
+            // Enough for every lane to use up its free blocks and GC.
+            overwrites: physical / 4,
+        }
+    };
+    let cases = [
+        preset("ULL preset", presets::ull_800g()),
+        preset("NVMe 750 preset", presets::nvme750()),
+        small("lanes do not divide n", (5, 9, 7), 123, &[]),
+        small("shares end on a block boundary", (4, 10, 8), 4 * 8 * 5, &[]),
+        // At the limit every lane keeps only its GC reserve, so there is
+        // no free-list order to expose, and random overwrites can wedge
+        // every lane at once (each waits for an invalid page of its own).
+        Case {
+            overwrites: 0,
+            ..small("the largest share needs B - 2 blocks", (3, 5, 8), 71, &[])
+        },
+        small("n below the lane count", (6, 5, 4), 4, &[]),
+        small("n = 0", (3, 6, 4), 0, &[]),
+        small("already written", (3, 12, 4), 60, &[5, 1, 5]),
+        small("a share past B - 2 blocks", (2, 6, 4), 33, &[]),
+    ];
+    for c in cases {
+        let name = c.name;
+        let build = |fill: bool| {
+            let mut f = Ftl::new(c.lanes, c.blocks, c.units_per_block, c.gc);
+            for &lpn in c.written {
+                f.append(lpn);
+            }
+            if fill {
+                f.fill_sequential(c.n);
+            } else {
+                for lpn in 0..c.n {
+                    f.append(lpn);
+                }
+            }
+            f
+        };
+        let built = |fill| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(fill)));
+        // With nothing invalid to reclaim, a fresh lane whose share needs
+        // more than B - 2 blocks has nowhere to put it.
+        let blocks_needed =
+            c.n.div_ceil(c.lanes.into())
+                .div_ceil(c.units_per_block.into());
+        let wedges = c.written.is_empty() && blocks_needed > u64::from(c.blocks - 2);
+        let (mut filled, mut appended) = match (built(true), built(false)) {
+            (Ok(filled), Ok(appended)) if !wedges => (filled, appended),
+            (Err(_), Err(_)) if wedges => continue,
+            _ => panic!("{name}: the fill and the appends disagree on wedging"),
+        };
+        for lpn in 0..filled.physical_units() {
+            assert_eq!(
+                filled.lookup(lpn),
+                appended.lookup(lpn),
+                "{name}: lpn {lpn}"
+            );
+        }
+        assert_eq!(filled.table_bytes(), appended.table_bytes(), "{name}");
+        assert_eq!(
+            filled.next_write_lane(),
+            appended.next_write_lane(),
+            "{name}"
+        );
+        assert!(
+            filled == appended,
+            "{name}: the fill differs from the appends"
+        );
+        if c.written.is_empty() {
+            let gc_work = filled.migrated_units() + filled.erased_blocks();
+            assert_eq!(gc_work, 0, "{name}: nothing is invalid, so no GC");
+        }
+        // Overwrite what was written, so the lanes rotate through their
+        // free lists until GC reclaims what the overwrites invalidated.
+        let span = c.n.max(u64::from(c.lanes));
+        let mut rng = SplitMix64::new(0xF111 ^ c.n);
+        for i in 0..c.overwrites {
+            let lpn = rng.below(span);
+            assert_eq!(
+                filled.append(lpn),
+                appended.append(lpn),
+                "{name}: overwrite {i} of lpn {lpn}"
+            );
+        }
+        assert!(filled == appended, "{name}: the overwrite runs diverged");
+        assert!(
+            c.overwrites == 0 || filled.erased_blocks() > 0,
+            "{name}: GC never ran"
+        );
+    }
 }
 
 /// Under a hostile NVMe timeout lottery, synchronous completions to the
