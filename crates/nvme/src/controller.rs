@@ -8,7 +8,7 @@
 
 use ull_faults::{FaultPlan, SALT_NVME};
 use ull_probe::DeviceSpan;
-use ull_simkit::{Component, Engine, Scheduler, SimDuration, SimTime, SplitMix64};
+use ull_simkit::{EventQueue, SimDuration, SimTime, SplitMix64};
 use ull_ssd::{DeviceCompletion, Ssd};
 
 use crate::command::{Completion, NvmeCommand, Opcode};
@@ -25,11 +25,11 @@ pub struct QueuePair {
     /// Completions computed by the backend but not yet visible to the host,
     /// ordered by `(completion instant, cid)`: each is scheduled keyed by
     /// its cid, and cids are unique among in-flight commands, so the
-    /// insertion-sequence tail of the engine's `(time, key, seq)` order
+    /// insertion-sequence tail of the queue's `(time, key, seq)` order
     /// never decides. A queue pair holds only its in-flight commands here
     /// (at most 6–11 in a nexus child), so its heap stays a few entries
     /// deep.
-    pending: Engine<u16>,
+    pending: EventQueue<u16>,
 }
 
 impl QueuePair {
@@ -37,33 +37,7 @@ impl QueuePair {
         QueuePair {
             sq: SubmissionQueue::new(size),
             cq: CompletionQueue::new(size),
-            pending: Engine::new(),
-        }
-    }
-}
-
-/// The device-scheduler component: drains due completions from a queue
-/// pair's pending timeline into its CQ ring, one at a time.
-///
-/// CQ backpressure is head-of-line: the first completion that does not
-/// fit re-parks itself at the current instant under its cid key and
-/// halts the drain until the host consumes entries. Everything behind
-/// it is still pending under its own `(time, cid)`, and cids are
-/// unique, so the re-park restores the exact `(time, cid)` order.
-struct CqPump<'a> {
-    cq: &'a mut CompletionQueue,
-    /// SQ head to advertise in posted CQEs; the SQ does not move during
-    /// a delivery drain, so one read serves the whole drain.
-    sqhd: u16,
-}
-
-impl Component for CqPump<'_> {
-    type Event = u16;
-
-    fn on_event(&mut self, now: SimTime, cid: u16, sched: &mut Scheduler<'_, u16>) {
-        if self.cq.post(cid, self.sqhd, true).is_err() {
-            sched.at_keyed(now, u64::from(cid), cid);
-            sched.halt();
+            pending: EventQueue::new(),
         }
     }
 }
@@ -374,15 +348,28 @@ impl NvmeController {
         self.next_completion_at(qid).map(|t| t + self.msi_latency)
     }
 
-    /// Materializes into the CQ every pending completion due by `at`.
-    /// Completions that do not fit (host lagging) stay pending.
+    /// Materializes into the CQ every pending completion due by `at`, one
+    /// at a time in `(time, cid)` order.
+    ///
+    /// CQ backpressure is head-of-line: the first completion that does
+    /// not fit (host lagging) goes back under its own `(time, cid)` and
+    /// ends the drain, so it and everything behind it wait until the host
+    /// consumes entries. Cids are unique among in-flight commands, so the
+    /// re-park restores the exact order.
     pub fn deliver_due(&mut self, qid: u16, at: SimTime) {
         let qp = &mut self.qpairs[qid as usize];
-        let mut pump = CqPump {
-            cq: &mut qp.cq,
-            sqhd: qp.sq.head(),
-        };
-        qp.pending.run_until(at, &mut pump);
+        // The SQ does not move during a drain: one read of its head
+        // serves every CQE posted here.
+        let sqhd = qp.sq.head();
+        while qp.pending.peek_time().is_some_and(|t| t <= at) {
+            let Some((t, cid)) = qp.pending.pop() else {
+                break;
+            };
+            if qp.cq.post(cid, sqhd, true).is_err() {
+                qp.pending.schedule_keyed(t, u64::from(cid), cid);
+                break;
+            }
+        }
     }
 
     /// Host-side poll at instant `at`: delivers due completions and consumes

@@ -9,11 +9,12 @@
 //! pure function of the schedule calls, which keeps whole simulations
 //! reproducible bit for bit.
 //!
-//! Every timeline in the workspace is one of these: each
-//! [`Engine`](crate::Engine), the multi-actor [`World`](crate::World),
-//! and the pending-completion timeline of every NVMe queue pair. Their
-//! pending sets are small (tens of events; docs/PERFORMANCE.md §1), so
-//! a heap a few cache lines deep beats any bucketed structure.
+//! Every timeline in the workspace is one of these: the queue of each
+//! [`World`](crate::World) (the nexus, and the workload runner and trace
+//! replay as worlds of one actor) and the pending-completion timeline of
+//! every NVMe queue pair. Their pending sets are small (tens of events;
+//! docs/PERFORMANCE.md §1), so a heap a few cache lines deep beats any
+//! bucketed structure.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -9,18 +9,17 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond time.
 //! * [`EventQueue`] — the binary heap every timeline runs on: events pop
 //!   in ascending `(time, key, seq)`, with FIFO or caller-keyed ties.
-//! * [`Component`] / [`Scheduler`] / [`Engine`] — the shared actor API
-//!   every engine loop runs on: components own local state, receive
-//!   timestamped events, and emit follow-ups through a handle instead of
-//!   draining a queue of their own.
-//! * [`World`] — many actors on one event queue, exchanging events under a
-//!   cross-actor latency floor with a pop order fixed by logical keys
-//!   (`docs/SHARDING.md`).
+//! * [`Component`] / [`Scheduler`] — the actor API every event loop runs
+//!   on: components own local state, receive timestamped events, and emit
+//!   follow-ups through a handle instead of draining a queue of their own.
+//! * [`World`] — the one event driver: one or many actors on one event
+//!   queue, exchanging events under a cross-actor latency floor with a pop
+//!   order fixed by logical keys (`docs/SHARDING.md`).
 //! * [`Slab`] / [`Label`] — allocation-free per-request state: reusable
 //!   generational slots and interned job labels.
-//! * [`Timeline`] / [`ServerPool`] — resource busy-until timelines, the
-//!   queueing model behind channels, dies and DMA engines, including
-//!   suspend/resume-style priority preemption.
+//! * [`Timeline`] — resource busy-until timelines, the queueing model
+//!   behind channels, dies and DMA engines, including suspend/resume-style
+//!   priority preemption.
 //! * [`Summary`], [`Histogram`], [`TimeSeries`] — streaming statistics with
 //!   five-nines-capable quantiles.
 //! * [`SplitMix64`] — seeded, forkable determinism.
@@ -57,12 +56,12 @@ mod stats;
 mod time;
 mod world;
 
-pub use component::{ActorId, Component, Engine, Scheduler};
+pub use component::{ActorId, Component, Scheduler};
 pub use event::{EventQueue, TimingWheel};
 pub use hist::Histogram;
 pub use json::Json;
 pub use label::Label;
-pub use resource::{ServerPool, Slot, Timeline};
+pub use resource::{Slot, Timeline};
 pub use rng::SplitMix64;
 pub use series::TimeSeries;
 pub use slab::{Slab, SlotId};

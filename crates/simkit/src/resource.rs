@@ -131,90 +131,6 @@ impl Timeline {
     }
 }
 
-/// A pool of identical FIFO resources where work goes to the earliest-free
-/// server (ties broken by lowest index, deterministically).
-///
-/// # Examples
-///
-/// ```
-/// use ull_simkit::{ServerPool, SimDuration, SimTime};
-///
-/// let mut pool = ServerPool::new(2);
-/// let d = SimDuration::from_micros(5);
-/// assert_eq!(pool.reserve(SimTime::ZERO, d).start, SimTime::ZERO);
-/// assert_eq!(pool.reserve(SimTime::ZERO, d).start, SimTime::ZERO);
-/// // Both servers busy: third item queues.
-/// assert_eq!(pool.reserve(SimTime::ZERO, d).start, SimTime::from_micros(5));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ServerPool {
-    servers: Vec<Timeline>,
-}
-
-impl ServerPool {
-    /// Creates a pool of `n` idle servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a server pool needs at least one server");
-        ServerPool {
-            servers: vec![Timeline::new(); n],
-        }
-    }
-
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Always false: pools have at least one server.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Reserves `dur` on the earliest-available server.
-    pub fn reserve(&mut self, earliest: SimTime, dur: SimDuration) -> Slot {
-        let idx = self.earliest_free();
-        self.servers[idx].reserve(earliest, dur)
-    }
-
-    /// Reserves `dur` on a specific server (e.g. a hash-selected die).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn reserve_on(&mut self, idx: usize, earliest: SimTime, dur: SimDuration) -> Slot {
-        self.servers[idx].reserve(earliest, dur)
-    }
-
-    /// Direct access to one server's timeline.
-    pub fn server(&self, idx: usize) -> &Timeline {
-        &self.servers[idx]
-    }
-
-    /// Mutable access to one server's timeline.
-    pub fn server_mut(&mut self, idx: usize) -> &mut Timeline {
-        &mut self.servers[idx]
-    }
-
-    /// Aggregate busy time across servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.servers.iter().map(Timeline::busy_time).sum()
-    }
-
-    fn earliest_free(&self) -> usize {
-        let mut best = 0;
-        for (i, s) in self.servers.iter().enumerate().skip(1) {
-            if s.busy_until() < self.servers[best].busy_until() {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,23 +190,5 @@ mod tests {
         let a = t.reserve_priority(SimTime::ZERO, US(5), US(1), US(1));
         let b = t.reserve_priority(SimTime::ZERO, US(5), US(1), US(1));
         assert!(b.start >= a.end);
-    }
-
-    #[test]
-    fn pool_balances_to_earliest_free() {
-        let mut p = ServerPool::new(3);
-        for _ in 0..3 {
-            assert_eq!(p.reserve(SimTime::ZERO, US(7)).start, SimTime::ZERO);
-        }
-        let s = p.reserve(SimTime::ZERO, US(7));
-        assert_eq!(s.start, SimTime::from_micros(7));
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.busy_time(), US(28));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn empty_pool_rejected() {
-        let _ = ServerPool::new(0);
     }
 }

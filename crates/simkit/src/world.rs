@@ -1,10 +1,12 @@
-//! The multi-actor world: many [`Component`] actors on one event
+//! The one event driver: a world of [`Component`] actors on one event
 //! queue.
 //!
 //! A [`World`] holds its actors in a `Vec` indexed by [`ActorId`] and
 //! every pending event, tagged with its destination, on one
 //! [`EventQueue`]. Events pop one at a time, each handed to its
-//! actor's [`Component::on_event`].
+//! actor's [`Component::on_event`]. The nexus is a world of many
+//! actors; a single-actor loop (the workload runner, trace replay) is a
+//! world of one, built with a zero floor.
 //!
 //! # What decides pop order
 //!
@@ -22,22 +24,14 @@
 //! order decides only between equal keys: an actor's own equal explicit
 //! keys (emission order, as the caller asked), and same-instant events
 //! at different actors, which commute because actors share no state.
+//! In a world of one actor that sends nothing, the keys reduce to the
+//! actor's FIFO counter and its explicit keys: the order of a lone
+//! [`EventQueue`] fed by `schedule` and `schedule_keyed`.
 //! `docs/SHARDING.md` gives the argument in full.
 
-use crate::component::{ActorId, Component, EventSink, Scheduler};
+use crate::component::{ActorId, Component, Scheduler};
 use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
-
-/// Key namespace bit for an actor's own (local) events: every local
-/// key sorts above every cross-actor key, so arrivals dispatch before
-/// same-instant local follow-ups.
-const LOCAL_KEY_BIT: u64 = 1 << 63;
-
-/// Packs the tie-break key of a cross-actor event: ascending
-/// `(src, seq)` under a single `u64` compare.
-fn remote_key(src: ActorId, seq: u64) -> u64 {
-    (u64::from(src.0) << 32) | (seq & 0xFFFF_FFFF)
-}
 
 /// One actor with the counters its keys are drawn from.
 struct Actor<C> {
@@ -46,34 +40,6 @@ struct Actor<C> {
     local_seq: u64,
     /// Emission counter for cross-actor sends.
     send_seq: u64,
-}
-
-/// Routes one dispatching actor's emissions onto the world's queue.
-struct WorldSink<'a, E> {
-    queue: &'a mut EventQueue<(ActorId, E)>,
-    me: ActorId,
-    local_seq: &'a mut u64,
-    send_seq: &'a mut u64,
-}
-
-impl<E> EventSink<E> for WorldSink<'_, E> {
-    fn local(&mut self, at: SimTime, key: Option<u64>, ev: E) {
-        let k = key.unwrap_or_else(|| {
-            let s = *self.local_seq;
-            *self.local_seq += 1;
-            s
-        });
-        self.queue
-            .schedule_keyed(at, LOCAL_KEY_BIT | k, (self.me, ev));
-    }
-
-    fn remote(&mut self, dst: ActorId, at: SimTime, ev: E) {
-        let seq = *self.send_seq;
-        *self.send_seq += 1;
-        debug_assert!(seq < u64::from(u32::MAX), "per-source send seq overflow");
-        self.queue
-            .schedule_keyed(at, remote_key(self.me, seq), (dst, ev));
-    }
 }
 
 /// A world of actors exchanging timestamped events on one event
@@ -155,8 +121,9 @@ impl<C: Component> World<C> {
         self.dispatch(actor, SimTime::ZERO, f);
     }
 
-    /// Runs the world until no event is pending. A component's
-    /// [`halt`](Scheduler::halt) does not stop it.
+    /// Runs the world until no event is pending, one event at a time: an
+    /// event a component emits at the current instant interleaves, by
+    /// key, with the events still pending at that instant.
     pub fn run(&mut self) {
         while let Some((now, (dst, ev))) = self.queue.pop() {
             self.dispatch(dst, now, |c, sched| c.on_event(now, ev, sched));
@@ -169,7 +136,7 @@ impl<C: Component> World<C> {
     }
 
     /// Runs `f` over `actor`'s component with a [`Scheduler`] at `now`
-    /// that routes its emissions onto this world's queue.
+    /// that writes its emissions into this world's queue.
     fn dispatch(
         &mut self,
         actor: ActorId,
@@ -177,20 +144,13 @@ impl<C: Component> World<C> {
         f: impl FnOnce(&mut C, &mut Scheduler<'_, C::Event>),
     ) {
         let slot = &mut self.actors[actor.0 as usize];
-        let mut sink = WorldSink {
-            queue: &mut self.queue,
-            me: actor,
-            local_seq: &mut slot.local_seq,
-            send_seq: &mut slot.send_seq,
-        };
-        // Read by nothing: a world runs until its queue is empty.
-        let mut halted = false;
         let mut sched = Scheduler {
             now,
             me: actor,
             floor: self.floor,
-            halted: &mut halted,
-            sink: &mut sink,
+            queue: &mut self.queue,
+            local_seq: &mut slot.local_seq,
+            send_seq: &mut slot.send_seq,
         };
         f(&mut slot.component, &mut sched);
     }
@@ -296,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn sends_are_floored_by_lookahead() {
+    fn sends_are_floored() {
         let mut w = ring_world(2, 1);
         w.seed(ActorId(0), |r, sched| {
             // Asked for t=0 delivery; the floor pushes it to 3 µs.

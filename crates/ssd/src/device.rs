@@ -645,11 +645,6 @@ impl Ssd {
         }
         end
     }
-
-    /// Observed DRAM hit rate of the read path.
-    pub fn read_hit_rate(&self) -> f64 {
-        self.rcache.hit_rate()
-    }
 }
 
 #[cfg(test)]

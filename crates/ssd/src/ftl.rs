@@ -432,11 +432,6 @@ impl Ftl {
         self.lanes[lane.0 as usize].free_blocks() <= self.gc.low_watermark
     }
 
-    /// Free blocks on a lane (observability/tests).
-    pub fn lane_free_blocks(&self, lane: LaneId) -> u32 {
-        self.lanes[lane.0 as usize].free_blocks()
-    }
-
     /// The round-robin lane the next host write will target.
     pub fn next_write_lane(&self) -> LaneId {
         LaneId(self.next_lane)

@@ -63,11 +63,6 @@ impl Topology {
         self.ways
     }
 
-    /// Whether channels are paired into super-channels.
-    pub fn is_paired(&self) -> bool {
-        self.paired
-    }
-
     /// Total dies.
     pub fn dies(&self) -> u32 {
         self.channels * self.ways

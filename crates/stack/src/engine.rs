@@ -1,30 +1,25 @@
-//! The stack's async engine surface: in-flight request bookkeeping for
+//! The stack's async engine surface: the one in-flight table of the
 //! component-driven event loops.
 //!
-//! Before the shared component API, every async driver (the workload
-//! runner, trace replay, and any future open-loop engine) open-coded
-//! the same three steps around [`Host::submit_async`]: stash the
-//! `(token, op, device-completion)` tuple in a slab, schedule the slab
-//! slot on a private event queue at the device completion instant, and on pop
-//! retrieve the tuple and call [`Host::finish_async`]. [`AsyncPort`]
-//! owns that bookkeeping once, at the layer that defines the submit/
-//! finish contract, leaving the engines themselves as pure
-//! [`Component`](ull_simkit::Component)s: submit through the port,
-//! schedule the returned slot via their `Scheduler`, finish on
-//! dispatch.
+//! [`Host::submit_async`] returns each request's [`AsyncIo`] record by
+//! value and [`Host::finish_async`] consumes it; the host keeps no table
+//! of its own. [`AsyncPort`] parks the records in a slab, so an engine
+//! (the workload runner, trace replay) stays a pure
+//! [`Component`](ull_simkit::Component): submit through the port,
+//! schedule the returned slot via its `Scheduler` at the device
+//! completion instant, finish on dispatch.
 //!
 //! The slab is generational and reused, so the steady-state loop stays
-//! allocation-free exactly as the open-coded versions were.
+//! allocation-free.
 
 use ull_simkit::{Slab, SlotId};
-use ull_ssd::DeviceCompletion;
 
-use crate::host::{Host, IoOp, IoResult};
+use crate::host::{AsyncIo, Host, IoOp, IoResult};
 
-/// In-flight async request state for one engine loop over one [`Host`].
+/// In-flight async requests for one engine loop over one [`Host`].
 #[derive(Debug)]
 pub struct AsyncPort {
-    in_flight: Slab<(SlotId, IoOp, DeviceCompletion)>,
+    in_flight: Slab<AsyncIo>,
 }
 
 impl AsyncPort {
@@ -50,17 +45,18 @@ impl AsyncPort {
         len: u32,
         at: ull_simkit::SimTime,
     ) -> (SlotId, ull_simkit::SimTime) {
-        let (token, device) = host.submit_async(op, offset, len, at);
-        let done = device.done;
-        (self.in_flight.insert((token, op, device)), done)
+        let io = host.submit_async(op, offset, len, at);
+        let done = io.done();
+        (self.in_flight.insert(io), done)
     }
 
     /// Completes the request parked in `slot`: applies the host's
     /// completion path and returns the direction and result, or `None`
     /// if `slot` is not (or no longer) in flight.
     pub fn finish(&mut self, host: &mut Host, slot: SlotId) -> Option<(IoOp, IoResult)> {
-        let (token, op, device) = self.in_flight.remove(slot)?;
-        Some((op, host.finish_async(token, device)))
+        let io = self.in_flight.remove(slot)?;
+        let op = io.op();
+        Some((op, host.finish_async(io)))
     }
 
     /// Requests currently in flight through this port.
@@ -112,8 +108,8 @@ mod tests {
         let mut port = AsyncPort::with_capacity(2);
         let (slot, _) = port.submit(&mut a, IoOp::Write, 8192, 4096, SimTime::ZERO);
         let (_, via_port) = port.finish(&mut a, slot).unwrap();
-        let (token, dev) = b.submit_async(IoOp::Write, 8192, 4096, SimTime::ZERO);
-        let direct = b.finish_async(token, dev);
+        let io = b.submit_async(IoOp::Write, 8192, 4096, SimTime::ZERO);
+        let direct = b.finish_async(io);
         assert_eq!(via_port, direct);
     }
 }

@@ -6,12 +6,15 @@
 //! polling) and the accounting ledger. Synchronous I/O ([`Host::io_sync`])
 //! models fio's `pvsync2` engine; the async pair
 //! [`Host::submit_async`]/[`Host::finish_async`] models `libaio` and the
-//! SPDK fio plugin, driven by the closed-loop engine in `ull-workload`.
+//! SPDK fio plugin. The host keeps no table of async requests: each is an
+//! [`AsyncIo`] record that the caller holds until it finishes it (the
+//! event loops in `ull-workload` park them in an
+//! [`AsyncPort`](crate::AsyncPort)).
 
 use ull_faults::{FaultPlan, NvmeFaults};
 use ull_nvme::{NvmeCommand, NvmeController};
 use ull_probe::{DeviceSpan, OpKind, ProbeConfig, ProbeReport, SpanRecorder, Stage};
-use ull_simkit::{SimDuration, SimTime, Slab, SlotId, SplitMix64};
+use ull_simkit::{SimDuration, SimTime, SplitMix64};
 use ull_ssd::DeviceCompletion;
 
 use crate::blkmq::{split_request_into, Tag, TagSet};
@@ -67,8 +70,11 @@ pub struct IoResult {
     pub device: DeviceCompletion,
 }
 
-#[derive(Debug, Clone)]
-struct Outstanding {
+/// One async I/O in flight: what [`Host::submit_async`] started and
+/// [`Host::finish_async`] needs to complete it, including the driver
+/// tags it holds. The caller owns it until it hands it back.
+#[derive(Debug)]
+pub struct AsyncIo {
     submitted: SimTime,
     doorbell: SimTime,
     nparts: usize,
@@ -78,6 +84,21 @@ struct Outstanding {
     len: u32,
     /// Critical-part device span, captured at submit time iff probing.
     span: Option<DeviceSpan>,
+    /// The parts' merged device completion.
+    device: DeviceCompletion,
+}
+
+impl AsyncIo {
+    /// Direction of the request.
+    pub fn op(&self) -> IoOp {
+        self.op
+    }
+
+    /// Instant the device completes the request (its last part): the
+    /// event loop finishes it then.
+    pub fn done(&self) -> SimTime {
+        self.device.done
+    }
 }
 
 /// Per-run observability state (absent ⇒ the zero-cost disabled path).
@@ -128,10 +149,6 @@ pub struct Host {
     /// loop cannot accumulate float drift across runs.
     hybrid_mean_ns: u64,
     next_cid: u16,
-    /// In-flight async requests in reusable generational slots: the token
-    /// handed to the engine is the slot id, so lookup and removal are O(1)
-    /// and the steady-state request path performs no allocation.
-    outstanding: Slab<Outstanding>,
     /// Driver tag set bounding in-flight NVMe commands (blk-mq semantics).
     tags: TagSet,
     /// Requests beyond this split into multiple commands
@@ -189,7 +206,6 @@ impl Host {
             rng: SplitMix64::new(0x57AC_u64),
             hybrid_mean_ns: 10_000,
             next_cid: 0,
-            outstanding: Slab::new(),
             tags: TagSet::new(Self::TAGS),
             max_transfer: Self::MAX_TRANSFER,
             horizon: SimTime::ZERO,
@@ -269,11 +285,6 @@ impl Host {
     /// The configured I/O path.
     pub fn path(&self) -> IoPath {
         self.path
-    }
-
-    /// Switches the I/O path (between experiment phases).
-    pub fn set_path(&mut self, path: IoPath) {
-        self.path = path;
     }
 
     /// The CPU accounting ledger.
@@ -804,17 +815,12 @@ impl Host {
     }
 
     /// Async submission (fio `libaio` / SPDK plugin): charges the submit
-    /// path and returns `(token, merged device completion detail)`. The
-    /// engine schedules [`Host::finish_async`] at the device completion
+    /// path and returns the request's record, whose
+    /// [`done`](AsyncIo::done) is the merged device completion instant.
+    /// The engine calls [`Host::finish_async`] with the record at that
     /// instant. Requests beyond `max_hw_sectors` split into multiple NVMe
-    /// commands internally; the token identifies the whole request.
-    pub fn submit_async(
-        &mut self,
-        op: IoOp,
-        offset: u64,
-        len: u32,
-        at: SimTime,
-    ) -> (SlotId, DeviceCompletion) {
+    /// commands internally; the record stands for the whole request.
+    pub fn submit_async(&mut self, op: IoOp, offset: u64, len: u32, at: SimTime) -> AsyncIo {
         let (t, mut cids, tags) = self.submit_path(op, offset, len, at);
         let nparts = cids.len();
         let device = self.collect_parts(&cids);
@@ -825,7 +831,7 @@ impl Host {
         };
         cids.clear();
         self.cid_pool.push(cids);
-        let token = self.outstanding.insert(Outstanding {
+        AsyncIo {
             submitted: at,
             doorbell: t,
             nparts,
@@ -834,28 +840,19 @@ impl Host {
             offset,
             len,
             span,
-        });
-        (token, device)
+            device,
+        }
     }
 
-    /// Applies the completion path to an async I/O whose device completion
-    /// is `device`, returning the application-visible result.
+    /// Applies the completion path to the async I/O `io`, returning the
+    /// application-visible result.
     ///
     /// For the kernel paths this models the libaio reap (IRQ, softirq,
     /// `io_getevents` return); for SPDK, the reactor's completion callback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` was not returned by [`Host::submit_async`] (or was
-    /// already finished).
-    pub fn finish_async(&mut self, token: SlotId, device: DeviceCompletion) -> IoResult {
-        let out = self
-            .outstanding
-            .remove(token)
-            // simlint: allow(S006): documented contract — the fn's `# Panics` section requires a token from a prior submit_async
-            .expect("token is outstanding");
+    pub fn finish_async(&mut self, io: AsyncIo) -> IoResult {
+        let device = io.device;
         let done = device.done;
-        let nparts = out.nparts;
+        let nparts = io.nparts;
         let (user_visible, pickup_stage, pickup) = match self.path {
             IoPath::Spdk => {
                 // The reactor notices on its next iteration.
@@ -883,35 +880,30 @@ impl Host {
             user_visible.max(done + NvmeController::DEFAULT_MSI_LATENCY),
             nparts,
         );
-        if let Some(span) = out.span {
+        if let Some(span) = io.span {
             self.record_probe(
-                out.op,
-                out.offset,
-                out.len,
-                out.submitted,
-                out.doorbell,
+                io.op,
+                io.offset,
+                io.len,
+                io.submitted,
+                io.doorbell,
                 span,
                 pickup_stage,
                 pickup,
                 user_visible,
             );
         }
-        self.release_tags(&out.tags);
-        let mut tags = out.tags;
+        self.release_tags(&io.tags);
+        let mut tags = io.tags;
         tags.clear();
         self.tag_pool.push(tags);
         self.horizon = self.horizon.max(user_visible);
         IoResult {
-            submitted: out.submitted,
+            submitted: io.submitted,
             user_visible,
-            latency: user_visible - out.submitted,
+            latency: user_visible - io.submitted,
             device,
         }
-    }
-
-    /// Number of async I/Os in flight.
-    pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Accounts for the SPDK reactor (or any poll loop) spinning over idle
@@ -1048,10 +1040,10 @@ mod tests {
     #[test]
     fn async_round_trip_matches_sync_shape() {
         let mut h = host(IoPath::KernelInterrupt);
-        let (cid, dev) = h.submit_async(IoOp::Read, 4096, 4096, SimTime::ZERO);
-        assert_eq!(h.in_flight(), 1);
-        let r = h.finish_async(cid, dev);
-        assert_eq!(h.in_flight(), 0);
+        let io = h.submit_async(IoOp::Read, 4096, 4096, SimTime::ZERO);
+        assert_eq!(h.free_tags(), Host::TAGS - 1);
+        let r = h.finish_async(io);
+        assert_eq!(h.free_tags(), Host::TAGS);
         assert!(r.latency.as_micros_f64() > 5.0 && r.latency.as_micros_f64() < 40.0);
     }
 
@@ -1067,16 +1059,16 @@ mod tests {
             ratio > 1.5 && ratio < 8.0,
             "split pipeline ratio {ratio:.1}"
         );
-        assert_eq!(h.in_flight(), 0, "tags and outstanding drained");
+        assert_eq!(h.free_tags(), Host::TAGS, "tags drained");
     }
 
     #[test]
     fn async_splitting_round_trips() {
         let mut h = host(IoPath::KernelInterrupt);
-        let (token, dev) = h.submit_async(IoOp::Write, 0, 1 << 20, SimTime::ZERO);
-        assert_eq!(h.in_flight(), 1);
-        let r = h.finish_async(token, dev);
-        assert_eq!(h.in_flight(), 0);
+        let io = h.submit_async(IoOp::Write, 0, 1 << 20, SimTime::ZERO);
+        assert_eq!(h.free_tags(), Host::TAGS - 8, "1 MB takes eight tags");
+        let r = h.finish_async(io);
+        assert_eq!(h.free_tags(), Host::TAGS);
         assert!(
             r.latency.as_micros_f64() > 100.0,
             "1MB write takes real time"
@@ -1105,7 +1097,7 @@ mod tests {
             "8 parts through a 4-slot ring must hit backpressure"
         );
         assert!(r.latency.as_nanos() > 0);
-        assert_eq!(h.in_flight(), 0, "tags and outstanding drained");
+        assert_eq!(h.free_tags(), Host::TAGS, "tags drained");
     }
 
     #[test]
@@ -1162,7 +1154,7 @@ mod tests {
             r.latency >= plan.reset_latency,
             "a reset path cannot be faster than the reset itself"
         );
-        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.free_tags(), Host::TAGS);
     }
 
     #[test]
@@ -1262,8 +1254,8 @@ mod tests {
     fn async_probe_records_breakdowns_too() {
         let mut h = host(IoPath::KernelInterrupt);
         h.enable_probe(ProbeConfig::default());
-        let (cid, dev) = h.submit_async(IoOp::Read, 4096, 4096, SimTime::ZERO);
-        let r = h.finish_async(cid, dev);
+        let io = h.submit_async(IoOp::Read, 4096, 4096, SimTime::ZERO);
+        let r = h.finish_async(io);
         let report = h.take_probe().unwrap();
         assert_eq!(report.metrics.ios(), 1);
         assert!(report.metrics.accounting_exact());

@@ -9,8 +9,9 @@
 //! * [`SoftwareCosts`] — the calibrated Linux 4.14 + SPDK 19.07 cost table.
 //! * [`Host`] — one core driving one device over a chosen [`IoPath`]:
 //!   kernel-interrupt, kernel-polled, kernel-hybrid, or SPDK.
-//! * [`AsyncPort`] — in-flight bookkeeping for component-driven async
-//!   engines built on [`Host::submit_async`] / [`Host::finish_async`].
+//! * [`AsyncPort`] — the one in-flight table of the component-driven
+//!   async engines: it parks the [`AsyncIo`] record of each
+//!   [`Host::submit_async`] until [`Host::finish_async`] takes it back.
 //!
 //! # Examples
 //!
@@ -43,4 +44,4 @@ pub use blkmq::{split_request, split_request_into, Tag, TagSet};
 pub use costs::{IterProfile, Segment, SoftwareCosts};
 pub use cpu::{CpuAccounting, MemCounts, Mode, StackFn};
 pub use engine::AsyncPort;
-pub use host::{Host, IoOp, IoPath, IoResult};
+pub use host::{AsyncIo, Host, IoOp, IoPath, IoResult};

@@ -1,7 +1,7 @@
 //! The job runner: drives a [`crate::JobSpec`] against a host.
 
 use ull_simkit::{
-    Component, Engine as EngineLoop, Histogram, Scheduler, SimDuration, SimTime, SlotId, TimeSeries,
+    ActorId, Component, Histogram, Scheduler, SimDuration, SimTime, SlotId, TimeSeries, World,
 };
 use ull_stack::{AsyncPort, Host, IoOp, IoPath, Mode};
 
@@ -38,7 +38,7 @@ pub fn run_job(host: &mut Host, spec: &JobSpec) -> JobReport {
     }
     let capacity = host.controller().ssd().capacity_bytes();
     let mut stream = AddressStream::new(spec, capacity);
-    let mut rec = Recorder::new(spec);
+    let mut rec = Recorder::new();
     match spec.engine {
         Engine::Pvsync2 => run_sync(host, spec, &mut stream, &mut rec),
         Engine::Libaio | Engine::SpdkPlugin => run_async(host, spec, &mut stream, &mut rec),
@@ -57,7 +57,7 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn new(_spec: &JobSpec) -> Self {
+    fn new() -> Self {
         Recorder {
             latency: Histogram::new(),
             read_latency: Histogram::new(),
@@ -194,9 +194,8 @@ impl Component for AsyncLoop<'_> {
 fn run_async(host: &mut Host, spec: &JobSpec, stream: &mut AddressStream, rec: &mut Recorder) {
     // In-flight state lives in reusable `AsyncPort` slab slots keyed by
     // the event payload, so the steady-state loop performs no per-I/O
-    // allocation at all.
-    let mut engine: EngineLoop<SlotId> = EngineLoop::new();
-    let mut comp = AsyncLoop {
+    // allocation at all. The loop is a world of one actor.
+    let comp = AsyncLoop {
         host,
         spec,
         stream,
@@ -205,12 +204,13 @@ fn run_async(host: &mut Host, spec: &JobSpec, stream: &mut AddressStream, rec: &
         submitted: 0,
     };
     let prime = spec.ios.min(spec.iodepth as u64);
-    engine.with_scheduler(SimTime::ZERO, |sched| {
+    let mut world = World::new(SimDuration::ZERO, vec![comp]);
+    world.seed(ActorId(0), |comp, sched| {
         for _ in 0..prime {
             comp.submit(SimTime::ZERO, sched);
         }
     });
-    engine.run(&mut comp);
+    world.run();
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! the device is an error naming its line, never a panic.
 
 use ull_nvme::LBA_BYTES;
-use ull_simkit::{Component, Engine, Histogram, Scheduler, SimDuration, SimTime, SlotId};
+use ull_simkit::{ActorId, Component, Histogram, Scheduler, SimDuration, SimTime, SlotId, World};
 use ull_stack::{AsyncPort, Host, IoOp};
 
 /// One trace record.
@@ -280,8 +280,7 @@ pub fn replay(host: &mut Host, ops: &[TraceOp]) -> Result<TraceReport, ParseTrac
             message,
         });
     }
-    let mut engine: Engine<Ev> = Engine::new();
-    let mut comp = Replay {
+    let comp = Replay {
         host,
         ops,
         port: AsyncPort::with_capacity(64),
@@ -293,11 +292,12 @@ pub fn replay(host: &mut Host, ops: &[TraceOp]) -> Result<TraceReport, ParseTrac
         idx: 0,
         stalled: false,
     };
-    engine.with_scheduler(SimTime::ZERO, |sched| comp.schedule_submit(sched));
-    // A submit handler may emit the *next* submit at the current
-    // instant; `run` dispatches one event at a time, so it interleaves
-    // with already-pending same-instant completions by key.
-    engine.run(&mut comp);
+    // The replay is a world of one actor: a submit and a completion at
+    // the same instant dispatch by key, the submit first.
+    let mut world = World::new(SimDuration::ZERO, vec![comp]);
+    world.seed(ActorId(0), |comp, sched| comp.schedule_submit(sched));
+    world.run();
+    let comp = world.into_actors().remove(0);
     Ok(TraceReport {
         completed: comp.completed,
         latency: comp.latency,
@@ -370,7 +370,7 @@ mod tests {
         let e = replay(&mut h, &too_long).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("driver tags"), "{}", e.message);
-        assert_eq!(h.in_flight(), 0, "nothing ran");
+        assert_eq!(h.free_tags(), Host::TAGS, "nothing ran");
     }
 
     #[test]
@@ -384,7 +384,7 @@ mod tests {
         let mut h = host();
         let r = replay(&mut h, &parse_trace(&text).unwrap()).unwrap();
         assert_eq!(r.completed, 600);
-        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.free_tags(), Host::TAGS);
     }
 
     #[test]

@@ -199,3 +199,107 @@ fn experiments_doc_has_no_phantom_entries() {
         );
     }
 }
+
+/// Every type with an `impl … Component for X` above the first
+/// `#[cfg(test)]` of a file in `crates/*/src` (comments skipped, so doc
+/// examples do not count), with its file.
+fn component_implementors() -> Vec<(String, String)> {
+    fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+        let entries = std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("{} must be readable: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                walk(&path, files);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    files.sort();
+    let mut found = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("source file is readable");
+        for line in text.lines().map(str::trim) {
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            if line.starts_with("//") || !line.starts_with("impl") {
+                continue;
+            }
+            let Some((_, rest)) = line.split_once("Component for ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            let rel = file.strip_prefix(root).unwrap_or(&file);
+            found.push((name, rel.display().to_string()));
+        }
+    }
+    found
+}
+
+/// The backticked type names (a leading capital, any `path::` prefix
+/// stripped) in docs/SHARDING.md's "Components in use" paragraph.
+fn components_in_use_paragraph() -> Vec<String> {
+    let doc = read_doc("docs/SHARDING.md");
+    let paragraph: Vec<&str> = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("Components in use"))
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    assert!(
+        !paragraph.is_empty(),
+        "docs/SHARDING.md must keep its \"Components in use\" paragraph"
+    );
+    paragraph
+        .join(" ")
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|code| {
+            let last = code.rsplit("::").next().unwrap_or(code);
+            last.chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect::<String>()
+        })
+        .filter(|name| name.starts_with(|c: char| c.is_ascii_uppercase()))
+        .collect()
+}
+
+/// docs/SHARDING.md's "Components in use" paragraph names exactly the
+/// types that implement `ull_simkit::Component` outside tests: every
+/// implementor is named, and every type named is an implementor.
+#[test]
+fn sharding_doc_names_every_component_and_only_components() {
+    let implementors = component_implementors();
+    assert!(
+        implementors.len() >= 3,
+        "expected the workspace's Component implementors, found {implementors:?}"
+    );
+    let named = components_in_use_paragraph();
+    for (name, file) in &implementors {
+        assert!(
+            named.contains(name),
+            "docs/SHARDING.md's \"Components in use\" paragraph must name `{name}` \
+             ({file} implements Component)"
+        );
+    }
+    for name in &named {
+        assert!(
+            implementors.iter().any(|(n, _)| n == name),
+            "docs/SHARDING.md's \"Components in use\" paragraph names `{name}`, \
+             which does not implement Component"
+        );
+    }
+}

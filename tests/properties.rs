@@ -1020,3 +1020,102 @@ fn probe_accounting_tiles_exactly_under_faults() {
         );
     }
 }
+
+/// Record instants (ns) that land exactly on a completion instant of one
+/// replay configuration each, in `trace_replay_reports_are_pinned`'s
+/// order: the submit of the record there ties with that completion.
+const REPLAY_TIES_NS: [u64; 4] = [1_043_677, 3_031_863, 5_017_982, 8_473_586];
+
+/// The fixed synthetic trace `trace_replay_reports_are_pinned` replays:
+/// 500 spaced records (4 KiB mostly, with 256 KiB and 1 MiB ones that
+/// split into 128 KiB commands), a second record at the same instant as
+/// every ninth, a 64-record burst at one instant that slips (with
+/// 512 KiB writes in it), and the four tie records.
+fn replay_trace_text() -> String {
+    let mut rng = SplitMix64::new(0x7ACE_5EED);
+    let mut recs: Vec<(u64, bool, u64, u64)> = Vec::new();
+    let mut t = 0u64;
+    for i in 0..500u64 {
+        let len = if i % 97 == 41 {
+            1 << 20
+        } else if i % 29 == 7 {
+            256 << 10
+        } else {
+            4096
+        };
+        let write = rng.chance(0.3);
+        recs.push((t, write, rng.below(65_536) * 4096, len));
+        if i % 9 == 4 {
+            recs.push((t, !write, rng.below(65_536) * 4096, 4096));
+        }
+        if i == 250 {
+            for k in 0..64u64 {
+                let len = if k % 16 == 5 { 512 << 10 } else { 4096 };
+                recs.push((t, k % 3 == 0, rng.below(65_536) * 4096, len));
+            }
+        }
+        t += 5_000 + rng.below(40_000);
+    }
+    for at in REPLAY_TIES_NS {
+        recs.push((at, false, 7 * 4096, 4096));
+    }
+    recs.sort_by_key(|r| r.0);
+    recs.iter()
+        .map(|&(at, write, off, len)| {
+            let op = if write { 'W' } else { 'R' };
+            format!("{}.{:03},{op},{off},{len}\n", at / 1000, at % 1000)
+        })
+        .collect()
+}
+
+/// Open-loop trace replay reproduces its reports exactly, on both
+/// presets under the interrupt and the SPDK path: records completed and
+/// slipped, the elapsed span, and the latency histogram's count, mean,
+/// p99 and max (all in ns). The trace holds same-instant records, a
+/// burst that slips, records above 128 KiB, and submits that tie with
+/// completions, so every ordering rule of the replay is exercised.
+#[test]
+fn trace_replay_reports_are_pinned() {
+    use ull_ssd_study::workload::{parse_trace, replay};
+
+    let ops = parse_trace(&replay_trace_text()).expect("the synthetic trace parses");
+    assert_eq!(ops.len(), 624);
+    // (completed, slipped, elapsed, count, mean, p99, max)
+    let expected: [(Device, IoPath, [u64; 7]); 4] = [
+        (
+            Device::Ull,
+            IoPath::KernelInterrupt,
+            [624, 161, 12_855_347, 624, 128_955, 843_775, 846_640],
+        ),
+        (
+            Device::Ull,
+            IoPath::Spdk,
+            [624, 127, 12_852_517, 624, 125_622, 845_760, 845_760],
+        ),
+        (
+            Device::Nvme750,
+            IoPath::KernelInterrupt,
+            [624, 148, 19_004_722, 624, 3_868_370, 9_140_147, 9_140_147],
+        ),
+        (
+            Device::Nvme750,
+            IoPath::Spdk,
+            [624, 129, 19_001_892, 624, 3_865_684, 9_043_967, 9_137_317],
+        ),
+    ];
+    for (device, path, want) in expected {
+        let mut h = host(device, path);
+        let r = replay(&mut h, &ops).expect("every record fits the device");
+        let got = [
+            r.completed,
+            r.slipped,
+            r.elapsed.as_nanos(),
+            r.latency.count(),
+            r.latency.mean().as_nanos(),
+            r.latency.quantile(0.99).as_nanos(),
+            r.latency.max().as_nanos(),
+        ];
+        assert_eq!(got, want, "{device:?} {path:?}");
+        assert_eq!(h.free_tags(), ull_ssd_study::stack::Host::TAGS);
+    }
+}
