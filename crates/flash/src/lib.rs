@@ -3,8 +3,9 @@
 //! Implements the device-physics layer of the reproduction: the Table I
 //! technology presets (Z-NAND, V-NAND, BiCS, plus a planar-MLC reference),
 //! die-level occupancy with Z-NAND's program suspend/resume, and erase-block
-//! bookkeeping (per-page out-of-band tags, wear) consumed by the FTL in
-//! `ull-ssd`.
+//! bookkeeping (write-once per-page out-of-band tags, valid counts, bad
+//! blocks) consumed by the FTL in `ull-ssd`, packed into whole-byte
+//! entries ([`EntryWidth`]) that the FTL's forward map shares.
 //!
 //! # Examples
 //!
@@ -25,8 +26,10 @@
 
 mod block;
 mod die;
+mod packed;
 mod spec;
 
-pub use block::{BlockPhase, BlockState};
+pub use block::BlockState;
 pub use die::{DieCounters, FlashDie};
+pub use packed::EntryWidth;
 pub use spec::{CellKind, FlashSpec};

@@ -174,18 +174,6 @@ impl NvmeController {
         out
     }
 
-    /// Number of I/O queue pairs.
-    pub fn queues(&self) -> u16 {
-        self.qpairs.len() as u16
-    }
-
-    /// Creates an additional I/O queue pair (the admin Create I/O CQ/SQ
-    /// flow), returning its qid.
-    pub fn create_queue_pair(&mut self, size: u16) -> u16 {
-        self.qpairs.push(QueuePair::new(size));
-        self.qpairs.len() as u16 - 1
-    }
-
     /// Answers Identify Controller (admin CNS 01h) for this device.
     pub fn identify_controller(&self) -> crate::admin::IdentifyController {
         crate::admin::IdentifyController {
@@ -395,12 +383,6 @@ impl NvmeController {
         let i = self.spans.iter().position(|(k, _)| *k == (qid, cid))?;
         Some(self.spans.swap_remove(i).1)
     }
-
-    /// Commands started on the backend but not yet consumed by the host.
-    pub fn in_flight(&self, qid: u16) -> usize {
-        let qp = &self.qpairs[qid as usize];
-        qp.pending.len() + qp.cq.backlog() as usize
-    }
 }
 
 #[cfg(test)]
@@ -417,14 +399,14 @@ mod tests {
         let mut c = controller();
         c.submit(0, NvmeCommand::read(5, 4096, 4096)).unwrap();
         c.ring_sq_doorbell(0, SimTime::ZERO);
-        assert_eq!(c.in_flight(0), 1);
         // Too early: nothing visible.
         assert!(c.poll(0, SimTime::from_nanos(1)).is_none());
         let done = c.next_completion_at(0).unwrap();
         let comp = c.poll(0, done).unwrap();
         assert_eq!(comp.cid, 5);
         assert!(comp.success);
-        assert_eq!(c.in_flight(0), 0);
+        assert!(c.next_completion_at(0).is_none());
+        assert!(c.poll(0, done).is_none());
         let detail = c.take_detail(0, 5).unwrap();
         assert_eq!(detail.done, done);
         assert!(c.take_detail(0, 5).is_none(), "detail is taken once");
@@ -466,8 +448,7 @@ mod tests {
         let mut c = controller();
         c.submit(0, NvmeCommand::read(1, 0, 4096)).unwrap();
         c.ring_sq_doorbell(0, SimTime::ZERO);
-        assert_eq!(c.in_flight(0), 1);
-        assert_eq!(c.in_flight(1), 0);
+        assert!(c.next_completion_at(0).is_some());
         assert!(c.next_completion_at(1).is_none());
     }
 
@@ -497,10 +478,9 @@ mod tests {
         c.submit(0, NvmeCommand::read(1, 0, 4096)).unwrap();
         c.submit(0, NvmeCommand::read(2, 4096, 4096)).unwrap();
         c.ring_sq_doorbell(0, SimTime::ZERO);
-        assert_eq!(c.in_flight(0), 2);
         let lost = c.reset_queue(0);
         assert_eq!(lost.len(), 2);
-        assert_eq!(c.in_flight(0), 0);
+        assert!(c.next_completion_at(0).is_none());
         let late = SimTime::ZERO + ull_simkit::SimDuration::from_millis(100);
         assert!(c.poll(0, late).is_none(), "reset forgets completions");
         for cid in lost {
@@ -589,12 +569,11 @@ mod tests {
             }
             c.ring_sq_doorbell(0, SimTime::ZERO);
         }
-        assert_eq!(c.in_flight(0), 6);
         let late = SimTime::ZERO + ull_simkit::SimDuration::from_millis(100);
         // Consume one at a time; every completion must eventually surface.
         let cids: Vec<u16> = std::iter::from_fn(|| c.poll(0, late).map(|e| e.cid)).collect();
         assert_eq!(cids, [1, 2, 3, 4, 5, 6]);
-        assert_eq!(c.in_flight(0), 0);
+        assert!(c.next_completion_at(0).is_none());
     }
 }
 
@@ -611,18 +590,5 @@ mod admin_tests {
         assert_eq!(id.max_transfer_bytes(), Some(128 << 10));
         let ns = c.identify_namespace();
         assert_eq!(ns.bytes(), presets::ull_800g().capacity_bytes);
-    }
-
-    #[test]
-    fn queue_pairs_can_be_created_dynamically() {
-        let mut c = NvmeController::new(Ssd::new(presets::ull_800g()).unwrap(), 1, 8);
-        assert_eq!(c.queues(), 1);
-        let qid = c.create_queue_pair(16);
-        assert_eq!(qid, 1);
-        assert_eq!(c.queues(), 2);
-        c.submit(qid, NvmeCommand::read(3, 0, 4096)).unwrap();
-        c.ring_sq_doorbell(qid, SimTime::ZERO);
-        let done = c.next_completion_at(qid).unwrap();
-        assert_eq!(c.poll(qid, done).unwrap().cid, 3);
     }
 }

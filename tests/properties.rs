@@ -634,7 +634,10 @@ fn ftl_conserves_valid_units_under_churn() {
 /// The FTL builds its forward-map chunks and per-block tag arrays only as
 /// a run first writes them, so their size is a deterministic count of
 /// what the run touched, bounded by the flat tables they replaced (a
-/// forward and a reverse `u32` per physical unit).
+/// forward and a reverse `u32` per physical unit). On the ULL preset both
+/// store 3-byte entries: packed addresses need 20 bits, and "unmapped"
+/// (0) one value more, so the map's largest entry is 2^20; tags name lpns
+/// below that.
 #[test]
 fn device_tables_grow_only_with_what_a_run_writes() {
     let cfg = presets::ull_800g();
@@ -644,19 +647,21 @@ fn device_tables_grow_only_with_what_a_run_writes() {
 
     ssd.precondition_full();
     let t = ssd.table_bytes();
-    assert_eq!(t.l2p, 512 * 4096, "524,288 lpns in 1,024-entry chunks");
+    assert_eq!(t.l2p, 512 * 1024 * 3, "524,288 lpns in 1,024-entry chunks");
     // Preconditioning fills the lanes round-robin and triggers no GC, so
     // each lane programs the blocks its share of the lpns needs.
     let lanes = u64::from(Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair()).lanes());
     let units_per_block = u64::from(cfg.effective_pages_per_block() * cfg.units_per_row());
     let blocks = lanes * (cfg.logical_units() / lanes).div_ceil(units_per_block);
     assert_eq!(blocks, 5_504);
-    assert_eq!(t.tags, blocks * units_per_block * 4);
+    assert_eq!(t.tags, blocks * units_per_block * 3);
+    assert_eq!(t.total(), 3_158_016);
     assert!(t.total() <= full_tables);
 
     // A nexus child writes only its 24 ranges of 16 lpns, strided across
     // the device: 31 chunks, as 7 ranges straddle a chunk boundary, plus
-    // the tags of the blocks its writes and rebuild copies programmed.
+    // the tags of the blocks its writes and rebuild copies programmed,
+    // 258 of them over the three devices.
     let mut nexus = NexusConfig::new(presets::ull_800g());
     nexus.path = IoPath::KernelInterrupt;
     nexus.ios = 20_000;
@@ -666,15 +671,15 @@ fn device_tables_grow_only_with_what_a_run_writes() {
     let (a, b) = (run(), run());
     assert!(a.counters.retired_children > 0, "the rebuild ran");
     assert_eq!(a.table_bytes, b.table_bytes, "the mark repeats exactly");
-    assert_eq!(a.table_bytes.l2p, 3 * 31 * 4096);
-    assert!(a.table_bytes.tags > 0);
+    assert_eq!(a.table_bytes.l2p, 3 * 31 * 1024 * 3);
+    assert_eq!(a.table_bytes.tags, 258 * units_per_block * 3);
     assert!(a.table_bytes.total() <= 3 * full_tables);
 }
 
 /// `Ftl::fill_sequential(n)` leaves exactly the FTL that `append(0)`, …,
 /// `append(n - 1)` leave. Every `lookup`, `table_bytes` and the next
 /// write lane agree, and so does every field (`Ftl`'s `PartialEq`: each
-/// block's tags, next page, valid count and wear, each lane's free list
+/// block's tags, next page and valid count, each lane's free list
 /// and append points, the GC counters). A seeded overwrite run driven on
 /// both afterwards places every unit alike and does the same GC work,
 /// which a free list in another order would break. The cases cover both
@@ -810,6 +815,123 @@ fn sequential_fill_matches_per_lpn_appends() {
         assert!(
             c.overwrites == 0 || filled.erased_blocks() > 0,
             "{name}: GC never ran"
+        );
+    }
+}
+
+/// Every GC decision the FTL makes under random overwrites, pinned: a
+/// preconditioned FTL takes 50,000 overwrites of uniformly random lpns,
+/// and the run's migrated units, erased blocks, forced GC events,
+/// remapped and lost blocks, and an FNV-1a digest of every append's
+/// `(Placement, GcWork)` must read exactly these values. A victim scan
+/// that takes one dead page for live (or the reverse) migrates a
+/// different number of units and moves all of them. The third case
+/// fails a program every 293 appends and wears blocks out, so relocation
+/// off a failing block, remapping and marking blocks bad run too.
+#[test]
+fn ftl_gc_decisions_are_pinned() {
+    struct Case {
+        lanes: u32,
+        blocks: u32,
+        units_per_block: u32,
+        logical: u64,
+        wear: Option<WearConfig>,
+        /// Migrated units, erased blocks, forced GC events, remapped
+        /// blocks, physical blocks lost, digest.
+        expect: (u64, u64, u64, u64, u64, u64),
+    }
+    const FAIL_EVERY: u64 = 293;
+    let gc = GcPolicy {
+        low_watermark: 3,
+        units_per_host_write: 2,
+        parallel: false,
+    };
+    let cases = [
+        Case {
+            lanes: 4,
+            blocks: 40,
+            units_per_block: 16,
+            logical: 2_200,
+            wear: None,
+            expect: (168_225, 13_622, 4_274, 0, 0, 0x2132_7010_8cd3_1682),
+        },
+        Case {
+            lanes: 2,
+            blocks: 64,
+            units_per_block: 32,
+            logical: 3_600,
+            wear: None,
+            expect: (194_672, 7_634, 2_972, 0, 0, 0xf1f2_43ba_c48e_a1c7),
+        },
+        Case {
+            lanes: 4,
+            blocks: 40,
+            units_per_block: 16,
+            logical: 1_850,
+            wear: Some(WearConfig {
+                per_erase_prob: 0.001,
+                remap_enabled: true,
+                spares_per_lane: 8,
+                seed: 11,
+            }),
+            expect: (83_538, 8_342, 63, 32, 13, 0x9ba5_3b17_56b5_673c),
+        },
+    ];
+    fn fnv(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    for c in cases {
+        let mut f = Ftl::new(c.lanes, c.blocks, c.units_per_block, gc);
+        if let Some(wear) = c.wear {
+            f = f.with_wear(wear, 1);
+        }
+        f.fill_sequential(c.logical);
+        let mut rng = SplitMix64::new(11);
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for i in 0..50_000u64 {
+            let lpn = rng.below(c.logical);
+            let (p, w) = f.append(lpn);
+            for word in [
+                u64::from(p.ppa.lane.0),
+                u64::from(p.ppa.block),
+                u64::from(p.ppa.slot),
+                u64::from(p.forced_migrations),
+                u64::from(p.forced_erase),
+                u64::from(w.migrated_units),
+                u64::from(w.erased_blocks),
+            ] {
+                digest = fnv(digest, word);
+            }
+            if c.wear.is_some() && i % FAIL_EVERY == FAIL_EVERY - 1 {
+                let r = f.recover_program_fail(p.ppa, lpn);
+                for word in [
+                    u64::from(r.new_ppa.lane.0),
+                    u64::from(r.new_ppa.block),
+                    u64::from(r.new_ppa.slot),
+                    u64::from(r.relocated_units),
+                    u64::from(r.erased_blocks),
+                    u64::from(r.remapped),
+                    u64::from(r.marked_bad),
+                    u64::from(r.deferred),
+                ] {
+                    digest = fnv(digest, word);
+                }
+            }
+        }
+        let got = (
+            f.migrated_units(),
+            f.erased_blocks(),
+            f.forced_gc_events(),
+            f.remapped_blocks(),
+            f.physical_blocks_lost(),
+            digest,
+        );
+        assert_eq!(
+            got, c.expect,
+            "{} x {} x {}",
+            c.lanes, c.blocks, c.units_per_block
         );
     }
 }
